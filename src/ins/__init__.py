@@ -58,6 +58,7 @@ from .errors import (
     InsError,
     InvalidDomain,
     InvalidInterval,
+    InvalidParameter,
     NonPositiveScalar,
     SourceError,
     UniverseMismatch,
@@ -140,6 +141,7 @@ __all__ = [
     # errors
     "InsError",
     "InvalidInterval",
+    "InvalidParameter",
     "UniverseMismatch",
     "NonPositiveScalar",
     "DimensionMismatch",

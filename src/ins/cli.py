@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import textwrap
 from pathlib import Path
@@ -21,32 +22,27 @@ from .convexity import (
     check_strongly_convex,
     intersect_functional,
 )
-from .errors import InsError, InvalidDomain, SourceError, UnknownFamily
+from .errors import InsError, InvalidDomain, InvalidParameter, SourceError, UnknownFamily
 from .families import parse_family
 from .laws import CLI_LAWS, LawResult, run_law
 
 __all__ = ["main", "entry", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _ranged(low: float, high: float = math.inf, convert=int):
+    """An argparse type: ``convert(text)``, refused unless finite and in
+    [low, high], so NaN or infinite values never reach a check."""
 
+    def parse(text: str):
+        value = convert(text)
+        if not (math.isfinite(value) and low <= value <= high):
+            bound = f">= {low}" if high == math.inf else f"between {low} and {high}"
+            finite = "" if convert is int else "finite and "
+            raise argparse.ArgumentTypeError(f"must be {finite}{bound}")
+        return value
 
-def _precision(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= 17:
-        raise argparse.ArgumentTypeError("must be between 1 and 17")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--expr", required=True, metavar="TEXT", help="expression to evaluate")
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
     p_eval.add_argument(
-        "--precision", type=_precision, default=15, metavar="N",
+        "--precision", type=_ranged(1, 17), default=15, metavar="N",
         help="significant digits in text output (17 = exact round trip)",
     )
 
@@ -71,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--law", metavar="NAME", help="law to check (see --law help)")
     which.add_argument("--all", action="store_true", help="check every law")
     p_check.add_argument("--sets", metavar="PATH", help="take universes from this set file")
-    p_check.add_argument("--trials", type=_positive_int, default=1000, metavar="N")
-    p_check.add_argument("--seed", type=int, default=0, metavar="N")
-    p_check.add_argument("--tol", type=_nonnegative_float, default=1e-12, metavar="X")
+    p_check.add_argument("--trials", type=_ranged(1), default=1000, metavar="N")
+    p_check.add_argument("--seed", type=_ranged(0), default=0, metavar="N")
+    p_check.add_argument("--tol", type=_ranged(0.0, convert=float), default=1e-12, metavar="X")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
 
     p_convex = sub.add_parser("convex", help="convexity-check a built-in membership family")
@@ -83,11 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="check the intersection with this second family")
     p_convex.add_argument("--box", default="-2:2", metavar="LO:HI[,LO:HI...]",
                           help="sampling box, one LO:HI range per dimension")
-    p_convex.add_argument("--trials", type=_positive_int, default=1000, metavar="N")
-    p_convex.add_argument("--lambda-grid", dest="lambda_grid", type=_positive_int,
+    p_convex.add_argument("--trials", type=_ranged(1), default=1000, metavar="N")
+    p_convex.add_argument("--lambda-grid", dest="lambda_grid", type=_ranged(2),
                           default=11, metavar="N")
-    p_convex.add_argument("--seed", type=int, default=0, metavar="N")
-    p_convex.add_argument("--tol", type=_nonnegative_float, default=1e-9, metavar="X")
+    p_convex.add_argument("--seed", type=_ranged(0), default=0, metavar="N")
+    p_convex.add_argument("--tol", type=_ranged(0.0, convert=float), default=1e-9, metavar="X")
     p_convex.add_argument("--strict", action="store_true",
                           help="check strong convexity instead")
     return parser
@@ -238,7 +234,7 @@ def _cmd_convex(args: argparse.Namespace) -> int:
             target, box, trials=args.trials, lambda_grid=args.lambda_grid,
             seed=args.seed, tol=args.tol,
         )
-    except InvalidDomain as exc:
+    except (InvalidDomain, InvalidParameter) as exc:
         return _usage_error(str(exc))
     print(f"family: {args.family}")
     if args.intersect:

@@ -23,9 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NeutrosophicValue, _snap_array, _validate_endpoints, nv
-from .errors import DimensionMismatch, InvalidDomain, InvalidInterval
-from .sampling import rng_from_seed
+from . import core
+from .core import NeutrosophicValue, _validated, nv
+from .errors import DimensionMismatch, InvalidDomain, InvalidInterval, InvalidParameter
+from .sampling import _check_run, rng_from_seed
 
 __all__ = [
     "Box",
@@ -57,8 +58,8 @@ class Box:
         if not bounds:
             raise InvalidDomain("box needs at least one dimension")
         for lo, hi in bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise InvalidDomain("box bounds must be finite")
+            if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(hi - lo)):
+                raise InvalidDomain(f"box bound [{lo}, {hi}] is not finite or too wide")
             if lo > hi:
                 raise InvalidDomain(f"box bound [{lo}, {hi}] is out of order")
         object.__setattr__(self, "bounds", bounds)
@@ -137,9 +138,7 @@ def _checked(values, count: int) -> np.ndarray:
     """An oracle's output for ``count`` points as a fresh ``(count, 6)``
     array, validated as ``UnitInterval`` validates each value and snapped to
     the same lattice; raises :class:`InvalidInterval` otherwise."""
-    data = _shaped(values, count)
-    _validate_endpoints(data)
-    return _snap_array(data)
+    return _validated(_shaped(values, count))
 
 
 def _looped(membership: Callable[[np.ndarray], NeutrosophicValue]):
@@ -166,24 +165,25 @@ def _pointwise(batch: Callable[[np.ndarray], np.ndarray]):
     return membership
 
 
-def _validate(a: FunctionalINS, domain: Box, trials: int, lambda_grid: int, tol: float) -> None:
+def _validate(a: FunctionalINS, domain: Box, trials: int, lambda_grid: int, seed: int,
+              tol: float) -> None:
     if not isinstance(domain, Box):
         raise InvalidDomain("domain must be a Box")
     if domain.dimension != a.dimension:
         raise InvalidDomain(
             f"box dimension {domain.dimension} does not match set dimension {a.dimension}"
         )
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_run(trials, seed, tol)
     if lambda_grid < 2:
-        raise ValueError("lambda_grid must be >= 2")
-    if tol < 0.0:
-        raise ValueError("tol must be >= 0")
+        raise InvalidParameter(f"lambda_grid must be >= 2, got {lambda_grid}")
 
 
 # Trials per oracle call grow geometrically from one, so a violation in the
 # first few trials costs a few small calls, up to a cap that bounds memory.
 _MAX_CHUNK = 256
+
+# Per endpoint, the direction in which a set's value lies inside a bound's.
+_TOWARD_INSIDE = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 
 
 def _scan(
@@ -218,18 +218,20 @@ def _scan(
         queries = np.concatenate((pts, mids), axis=1).reshape(-1, a.dimension)
         values = _checked(a.batch(queries), len(queries)).reshape(len(pts), per_trial, 6)
         ends, m = values[:, :2], values[:, 2:]
-        low = np.minimum(ends[:, :1, :2], ends[:, 1:, :2])
-        high = np.maximum(ends[:, :1, 2:], ends[:, 1:, 2:])
+        # the bound each mixed value must meet is the intersection of the
+        # ends (min truth, max of the rest); tol loosens it for the plain
+        # check and tightens it for the strict one
+        bound = core._intersect(ends[:, :1], ends[:, 1:])
         if strict:
-            # strongly convex: truth above low and the rest below high, each
-            # by more than tol
-            bad = np.concatenate((m[..., :2] <= low + tol, m[..., 2:] >= high - tol), axis=2)
+            # strongly convex: truth above the bound and the rest below it,
+            # each by more than tol
+            bad = core._contained(m, bound + tol * _TOWARD_INSIDE)
         else:
-            bad = np.concatenate((m[..., :2] < low - tol, m[..., 2:] > high + tol), axis=2)
+            bad = ~core._contained(bound - tol * _TOWARD_INSIDE, m)
         if bad.any():
             # the first violation in (trial, lambda, component) order
             t, j, c = map(int, np.unravel_index(np.argmax(bad), bad.shape))
-            rhs = low[t, 0, c] if c < 2 else high[t, 0, c - 2]
+            rhs = bound[t, 0, c]
             checked = (done + t) * len(lambdas) + j + 1
             return _report(pts[t, 0], pts[t, 1], lambdas[j], c, m[t, j, c], rhs, checked)
         done += len(pts)
@@ -262,7 +264,7 @@ def check_convex(
     endpoints included (they can never witness a violation). A violation must
     exceed ``tol`` to be reported.
     """
-    _validate(a, domain, trials, lambda_grid, tol)
+    _validate(a, domain, trials, lambda_grid, seed, tol)
     lambdas = np.linspace(0.0, 1.0, lambda_grid).tolist()
     return _scan(a, domain, trials, lambdas, seed, tol, strict=False)
 
@@ -283,7 +285,7 @@ def check_strongly_convex(
     every axis holds no distinct points and is refused with
     :class:`InvalidDomain`.
     """
-    _validate(a, domain, trials, lambda_grid, tol)
+    _validate(a, domain, trials, lambda_grid, seed, tol)
     if all(lo == hi for lo, hi in domain.bounds):
         raise InvalidDomain("strong convexity needs a box of nonzero width on some axis")
     lambdas = np.linspace(0.0, 1.0, lambda_grid + 2)[1:-1].tolist()
@@ -299,9 +301,6 @@ def intersect_functional(a: FunctionalINS, b: FunctionalINS) -> FunctionalINS:
     fa, fb = a.batch, b.batch
 
     def batch(points: np.ndarray) -> np.ndarray:
-        ea, eb = _checked(fa(points), len(points)), _checked(fb(points), len(points))
-        return np.concatenate(
-            (np.minimum(ea[:, :2], eb[:, :2]), np.maximum(ea[:, 2:], eb[:, 2:])), axis=1
-        )
+        return core._intersect(_checked(fa(points), len(points)), _checked(fb(points), len(points)))
 
     return FunctionalINS(a.dimension, batch=batch)

@@ -15,8 +15,10 @@ suprema may sum to 3). The operators below act endpointwise:
 * truth/false-favorite -- fold indeterminacy into truth (resp. falsity)
 
 Discrete sets store their endpoints in a float64 array of shape ``(n, 6)``
-with columns ``(truth.lo, truth.hi, ind.lo, ind.hi, fal.lo, fal.hi)``, so the
-operators reduce to a handful of vectorized min/max/arithmetic calls.
+with columns ``(truth.lo, truth.hi, ind.lo, ind.hi, fal.lo, fal.hi)``. Each
+operator's formula is written once, as a private kernel over ``(..., 6)``
+arrays; the operators below align their operands' labels and call one kernel,
+and the law checker and functional intersection call the same kernels.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
 ]
 
 # Column layout of the endpoint matrix.
-_TL, _TU, _IL, _IU, _FL, _FU = range(6)
 _T = slice(0, 2)
 _I = slice(2, 4)
 _F = slice(4, 6)
@@ -139,7 +140,9 @@ _EMPTY_ROW = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
 _UNIVERSAL_ROW = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
-def _validate_endpoints(data: np.ndarray) -> None:
+def _validated(data: np.ndarray) -> np.ndarray:
+    """Validate a fresh ``(n, 6)`` endpoint array and snap it in place, as
+    :meth:`DiscreteINS.from_array` does; raises :class:`InvalidInterval`."""
     if data.ndim != 2 or data.shape[1] != 6:
         raise InvalidInterval(f"endpoint matrix must have shape (n, 6), got {data.shape}")
     if not np.all(np.isfinite(data)):
@@ -148,6 +151,7 @@ def _validate_endpoints(data: np.ndarray) -> None:
         raise InvalidInterval("interval endpoints must lie in [0, 1]")
     if np.any(data[:, 0::2] > data[:, 1::2]):
         raise InvalidInterval("interval lower bounds must not exceed upper bounds")
+    return _snap_array(data)
 
 
 class _BaseSet:
@@ -158,44 +162,38 @@ class _BaseSet:
     _label_kind = "element"
 
     def __init__(self, items: Iterable[tuple[object, NeutrosophicValue]]) -> None:
-        labels = []
-        rows = []
-        for label, value in items:
-            self._check_label(label)
-            labels.append(label)
-            v = value
-            rows.append(
-                (v.truth.lo, v.truth.hi, v.indeterminacy.lo, v.indeterminacy.hi,
-                 v.falsity.lo, v.falsity.hi)
-            )
-        index = {label: i for i, label in enumerate(labels)}
-        if len(index) != len(labels):
-            seen: set[object] = set()
-            for x in labels:
-                if x in seen:
-                    raise ValueError(f"duplicate {self._label_kind} label: {x!r}")
-                seen.add(x)
+        pairs = list(items)
+        labels = tuple(label for label, _ in pairs)
+        index = self._index_of(labels)  # labels are checked before values
+        rows = [
+            (v.truth.lo, v.truth.hi, v.indeterminacy.lo, v.indeterminacy.hi,
+             v.falsity.lo, v.falsity.hi)
+            for _, v in pairs
+        ]
         data = np.array(rows, dtype=np.float64).reshape(len(labels), 6)
         data.flags.writeable = False
-        self._labels = tuple(labels)
-        self._index = index
-        self._data = data
+        self._labels, self._index, self._data = labels, index, data
 
     @classmethod
     def from_array(cls, labels: Iterable[object], data: np.ndarray):
         """Build a set from an ``(n, 6)`` endpoint matrix, validating it."""
-        arr = np.array(data, dtype=np.float64)
-        _validate_endpoints(arr)
-        _snap_array(arr)
+        arr = _validated(np.array(data, dtype=np.float64))
         labels = tuple(labels)
         if len(labels) != arr.shape[0]:
             raise ValueError("label count does not match endpoint row count")
+        return cls._wrap(labels, cls._index_of(labels), arr)
+
+    @classmethod
+    def _index_of(cls, labels: tuple) -> dict:
+        """Label -> row, after checking each label and that none repeats."""
         for label in labels:
             cls._check_label(label)
         index = {label: i for i, label in enumerate(labels)}
         if len(index) != len(labels):
-            raise ValueError(f"duplicate {cls._label_kind} label")
-        return cls._wrap(labels, index, arr)
+            # the first label whose last occurrence is elsewhere repeats
+            dup = next(x for i, x in enumerate(labels) if index[x] != i)
+            raise ValueError(f"duplicate {cls._label_kind} label: {dup!r}")
+        return index
 
     @classmethod
     def _wrap(cls, labels: tuple, index: dict, data: np.ndarray):
@@ -321,32 +319,104 @@ def universal_set(universe: Iterable[str]) -> DiscreteINS:
     return _constant_set(universe, _UNIVERSAL_ROW)
 
 
+# Endpoint kernels: each operator's formula, written once over float64
+# endpoint arrays of shape (..., 6) that broadcast over the leading axes, so
+# one call serves a set, a stack of law trials or a chunk of oracle values.
+# Each allocates its result once, shaped like the first operand (or writes
+# into ``out`` where it takes one), and the ufuncs write straight into it.
+
+
+def _complement(d: np.ndarray) -> np.ndarray:
+    out = np.empty_like(d)
+    out[..., _T] = d[..., _F]
+    np.subtract(1.0, d[..., 3:1:-1], out=out[..., _I])  # reflect (hi, lo) at 1
+    out[..., _F] = d[..., _T]
+    return out
+
+
+def _union(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    out = np.empty_like(da)
+    np.maximum(da[..., _T], db[..., _T], out=out[..., _T])
+    np.minimum(da[..., 2:], db[..., 2:], out=out[..., 2:])
+    return out
+
+
+def _intersect(da: np.ndarray, db: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.empty_like(da) if out is None else out
+    np.minimum(da[..., _T], db[..., _T], out=out[..., _T])
+    np.maximum(da[..., 2:], db[..., 2:], out=out[..., 2:])
+    return out
+
+
+def _difference(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    reflected = _complement(db)
+    return _intersect(da, reflected, out=reflected)
+
+
+def _add(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    out = np.add(da, db)
+    return np.minimum(out, 1.0, out=out)
+
+
+def _pointwise_product(da: np.ndarray, db: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.multiply(da, db, out=out)
+    # truth takes the probabilistic sum a + b - ab
+    np.subtract(da[..., _T] + db[..., _T], out[..., _T], out=out[..., _T])
+    return out
+
+
+def _scalar_mul(d: np.ndarray, factor) -> np.ndarray:
+    out = np.multiply(d, factor)
+    return np.minimum(out, 1.0, out=out)
+
+
+def _scalar_div(d: np.ndarray, divisor) -> np.ndarray:
+    out = np.divide(d, divisor)
+    return np.minimum(out, 1.0, out=out)
+
+
+def _truth_favorite(d: np.ndarray) -> np.ndarray:
+    return _favorite(d, _T, _F)
+
+
+def _false_favorite(d: np.ndarray) -> np.ndarray:
+    return _favorite(d, _F, _T)
+
+
+def _favorite(d: np.ndarray, into: slice, kept: slice) -> np.ndarray:
+    out = np.empty_like(d)
+    np.minimum(d[..., into] + d[..., _I], 1.0, out=out[..., into])
+    out[..., _I] = 0.0
+    out[..., kept] = d[..., kept]
+    return out
+
+
+def _contained(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Per endpoint: truth no larger in da than in db, the others no smaller."""
+    ok = np.greater_equal(da, db)
+    np.less_equal(da[..., _T], db[..., _T], out=ok[..., _T])
+    return ok
+
+
+def _differs(dx: np.ndarray, dy: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Per endpoint: dx and dy differ (by more than ``tol`` when it is > 0)."""
+    return np.abs(dx - dy) > tol if tol > 0.0 else dx != dy
+
+
 def complement(a: _BaseSet) -> _BaseSet:
     """Swap truth and falsity; reflect the indeterminacy interval at 1."""
-    d = a._data
-    out = np.empty_like(d)
-    out[:, _T] = d[:, _F]
-    out[:, _IL] = 1.0 - d[:, _IU]
-    out[:, _IU] = 1.0 - d[:, _IL]
-    out[:, _F] = d[:, _T]
-    return _like(a, out)
+    return _like(a, _complement(a._data))
 
 
 def is_contained(a: _BaseSet, b: _BaseSet) -> bool:
     """True iff a's truth is pointwise no larger than b's, and a's
     indeterminacy and falsity pointwise no smaller, at every element."""
-    da, db = _aligned(a, b)
-    return bool(
-        np.all(da[:, _T] <= db[:, _T])
-        and np.all(da[:, _I] >= db[:, _I])
-        and np.all(da[:, _F] >= db[:, _F])
-    )
+    return bool(_contained(*_aligned(a, b)).all())
 
 
 def equals(a: _BaseSet, b: _BaseSet) -> bool:
     """Mutual containment; equivalently exact equality of all endpoints."""
-    da, db = _aligned(a, b)
-    return bool(np.array_equal(da, db))
+    return not _differs(*_aligned(a, b)).any()
 
 
 def is_empty(a: _BaseSet) -> bool:
@@ -356,58 +426,37 @@ def is_empty(a: _BaseSet) -> bool:
 
 def union(a: _BaseSet, b: _BaseSet) -> _BaseSet:
     """Endpointwise max on truth, min on indeterminacy and falsity."""
-    da, db = _aligned(a, b)
-    out = np.empty_like(da)
-    out[:, _T] = np.maximum(da[:, _T], db[:, _T])
-    out[:, 2:] = np.minimum(da[:, 2:], db[:, 2:])
-    return _like(a, out)
+    return _like(a, _union(*_aligned(a, b)))
 
 
 def intersect(a: _BaseSet, b: _BaseSet) -> _BaseSet:
     """Endpointwise min on truth, max on indeterminacy and falsity."""
-    da, db = _aligned(a, b)
-    out = np.empty_like(da)
-    out[:, _T] = np.minimum(da[:, _T], db[:, _T])
-    out[:, 2:] = np.maximum(da[:, 2:], db[:, 2:])
-    return _like(a, out)
+    return _like(a, _intersect(*_aligned(a, b)))
 
 
 def difference(a: _BaseSet, b: _BaseSet) -> _BaseSet:
-    """Remove b from a: truth is capped by b's falsity, falsity raised by
-    b's truth, and indeterminacy raised by the reflection of b's."""
-    da, db = _aligned(a, b)
-    out = np.empty_like(da)
-    out[:, _T] = np.minimum(da[:, _T], db[:, _F])
-    out[:, _IL] = np.maximum(da[:, _IL], 1.0 - db[:, _IU])
-    out[:, _IU] = np.maximum(da[:, _IU], 1.0 - db[:, _IL])
-    out[:, _F] = np.maximum(da[:, _F], db[:, _T])
-    return _like(a, out)
+    """Remove b from a, i.e. intersect a with b's complement: truth is capped
+    by b's falsity, falsity raised by b's truth, and indeterminacy raised by
+    the reflection of b's."""
+    return _like(a, _difference(*_aligned(a, b)))
 
 
 def add(a: _BaseSet, b: _BaseSet) -> _BaseSet:
     """Endpointwise sum on all three components, saturating at 1."""
-    da, db = _aligned(a, b)
-    return _like(a, np.minimum(da + db, 1.0))
+    return _like(a, _add(*_aligned(a, b)))
 
 
 def pointwise_product(a: _BaseSet, b: _BaseSet) -> _BaseSet:
     """Elementwise product over a shared universe: probabilistic sum on
     truth endpoints, plain product on indeterminacy and falsity."""
-    da, db = _aligned(a, b)
-    out = np.empty_like(da)
-    out[:, _T] = da[:, _T] + db[:, _T] - da[:, _T] * db[:, _T]
-    out[:, 2:] = da[:, 2:] * db[:, 2:]
-    return _like(a, out)
+    return _like(a, _pointwise_product(*_aligned(a, b)))
 
 
 def cartesian_product(a: DiscreteINS, b: DiscreteINS) -> PairedINS:
     """Product set over the ordered cross universe; same endpoint rules as
     :func:`pointwise_product`, applied to every (x, y) pair."""
-    da = a._data[:, None, :]
-    db = b._data[None, :, :]
     out = np.empty((len(a), len(b), 6))
-    out[:, :, _T] = da[:, :, _T] + db[:, :, _T] - da[:, :, _T] * db[:, :, _T]
-    out[:, :, 2:] = da[:, :, 2:] * db[:, :, 2:]
+    _pointwise_product(a._data[:, None, :], b._data[None, :, :], out=out)
     labels = tuple((x, y) for x in a.universe for y in b.universe)
     index = {label: i for i, label in enumerate(labels)}
     return PairedINS._wrap(labels, index, out.reshape(-1, 6))
@@ -422,33 +471,21 @@ def _check_scalar(factor: float) -> float:
 
 def scalar_mul(factor: float, a: _BaseSet) -> _BaseSet:
     """Scale every endpoint by ``factor`` > 0, saturating at 1."""
-    factor = _check_scalar(factor)
-    return _like(a, np.minimum(a._data * factor, 1.0))
+    return _like(a, _scalar_mul(a._data, _check_scalar(factor)))
 
 
 def scalar_div(a: _BaseSet, divisor: float) -> _BaseSet:
     """Divide every endpoint by ``divisor`` > 0, saturating at 1."""
-    divisor = _check_scalar(divisor)
-    return _like(a, np.minimum(a._data / divisor, 1.0))
+    return _like(a, _scalar_div(a._data, _check_scalar(divisor)))
 
 
 def truth_favorite(a: _BaseSet) -> _BaseSet:
     """Fold indeterminacy into truth (saturating); indeterminacy becomes
     exactly [0,0]; falsity is untouched."""
-    d = a._data
-    out = np.empty_like(d)
-    out[:, _T] = np.minimum(d[:, _T] + d[:, _I], 1.0)
-    out[:, _I] = 0.0
-    out[:, _F] = d[:, _F]
-    return _like(a, out)
+    return _like(a, _truth_favorite(a._data))
 
 
 def false_favorite(a: _BaseSet) -> _BaseSet:
     """Fold indeterminacy into falsity (saturating); indeterminacy becomes
     exactly [0,0]; truth is untouched."""
-    d = a._data
-    out = np.empty_like(d)
-    out[:, _T] = d[:, _T]
-    out[:, _I] = 0.0
-    out[:, _F] = np.minimum(d[:, _F] + d[:, _I], 1.0)
-    return _like(a, out)
+    return _like(a, _false_favorite(a._data))

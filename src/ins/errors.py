@@ -27,6 +27,10 @@ class InvalidDomain(InsError, ValueError):
     """Sampling box is malformed or incompatible with the set."""
 
 
+class InvalidParameter(InsError, ValueError):
+    """A run parameter (trials, seed, tolerance, grid size) is out of range."""
+
+
 class UnknownLaw(InsError, LookupError):
     """No registered algebraic law under the requested name."""
 

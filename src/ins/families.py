@@ -34,7 +34,7 @@ import numpy as np
 
 from .convexity import FunctionalINS
 from .core import _snap_array
-from .errors import UnknownFamily
+from .errors import InvalidDomain, UnknownFamily
 
 __all__ = [
     "triangular",
@@ -102,23 +102,23 @@ def _bell(center: float, sigma: float) -> Bump:
 
 def triangular(center: float = 0.0, width: float = 1.0, dimension: int = 1) -> FunctionalINS:
     """Piecewise-linear bump of the given half-width around ``center``."""
-    if width <= 0:
-        raise ValueError("triangular width must be > 0")
+    if not (math.isfinite(center) and 0 < width < math.inf):
+        raise InvalidDomain(f"triangular needs a finite center and width > 0, got {center}, {width}")
     return _bump_set(_cone(center, width), dimension, alpha=0.8, beta=0.5, gamma=0.5)
 
 
 def gaussian(center: float = 0.0, sigma: float = 1.0, dimension: int = 1) -> FunctionalINS:
     """Gaussian bump; strictly quasi-concave, hence strongly convex."""
-    if sigma <= 0:
-        raise ValueError("gaussian sigma must be > 0")
+    if not (math.isfinite(center) and 0 < sigma < math.inf):
+        raise InvalidDomain(f"gaussian needs a finite center and sigma > 0, got {center}, {sigma}")
     return _bump_set(_bell(center, sigma), dimension, alpha=0.9, beta=0.5, gamma=0.5)
 
 
 def bimodal(separation: float = 4.0, dimension: int = 1) -> FunctionalINS:
     """Two unit bumps with centers ``separation`` apart: a planted
     counterexample whose mode midpoints violate convexity."""
-    if separation < 0:
-        raise ValueError("bimodal separation must be >= 0")
+    if not 0 <= separation < math.inf:
+        raise InvalidDomain(f"bimodal needs a finite separation >= 0, got {separation}")
     half = separation / 2.0
     # unit cones: d / 1.0 is d exactly
     right, left = _cone(half, 1.0), _cone(-half, 1.0)

@@ -8,9 +8,12 @@ grid where complement reflection (1 - x) is exact in floating point.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import DiscreteINS
+from .errors import InvalidParameter
 
 __all__ = [
     "rng_from_seed",
@@ -39,42 +42,53 @@ def random_universe(rng: np.random.Generator, min_size: int = 1, max_size: int =
 def random_set(rng: np.random.Generator, universe: tuple[str, ...]) -> DiscreteINS:
     """Uniformly random set: each component interval is a sorted pair of
     uniform [0, 1] samples."""
-    n = len(universe)
-    data = rng.random((n, 3, 2))
-    data.sort(axis=2)
-    return DiscreteINS.from_array(universe, data.reshape(n, 6))
+    return DiscreteINS.from_array(universe, _sorted_pairs(rng.random((len(universe), 6))))
 
 
 def random_superset(rng: np.random.Generator, a: DiscreteINS) -> DiscreteINS:
     """A random set containing ``a``: truth endpoints pushed up, the others
-    pushed down, respecting interval ordering.
-
-    Uses only min/max against fresh uniform draws, never arithmetic, so the
-    result stays on the same dyadic grid as the draws.
-    """
+    pushed down, respecting interval ordering."""
     d = a.endpoints
-    r = rng.random(d.shape)
-    out = np.empty_like(d)
-    # truth: raise both endpoints
-    out[:, 1] = np.maximum(d[:, 1], r[:, 1])
-    out[:, 0] = np.maximum(d[:, 0], np.minimum(r[:, 0], out[:, 1]))
-    # indeterminacy and falsity: lower both endpoints
-    for lo, hi in ((2, 3), (4, 5)):
-        out[:, lo] = np.minimum(d[:, lo], r[:, lo])
-        out[:, hi] = np.minimum(d[:, hi], np.maximum(r[:, hi], out[:, lo]))
-    return DiscreteINS.from_array(a.universe, out)
+    return DiscreteINS.from_array(a.universe, _nested_rows(rng.random(d.shape), d, superset=True))
 
 
 def random_subset(rng: np.random.Generator, a: DiscreteINS) -> DiscreteINS:
     """A random set contained in ``a``: the mirror of :func:`random_superset`."""
     d = a.endpoints
-    r = rng.random(d.shape)
-    out = np.empty_like(d)
-    # truth: lower both endpoints
-    out[:, 0] = np.minimum(d[:, 0], r[:, 0])
-    out[:, 1] = np.minimum(d[:, 1], np.maximum(r[:, 1], out[:, 0]))
-    # indeterminacy and falsity: raise both endpoints
-    for lo, hi in ((2, 3), (4, 5)):
-        out[:, hi] = np.maximum(d[:, hi], r[:, hi])
-        out[:, lo] = np.maximum(d[:, lo], np.minimum(r[:, lo], out[:, hi]))
-    return DiscreteINS.from_array(a.universe, out)
+    return DiscreteINS.from_array(a.universe, _nested_rows(rng.random(d.shape), d, superset=False))
+
+
+def _sorted_pairs(draws: np.ndarray) -> np.ndarray:
+    """Endpoint rows from uniform draws of shape (..., 6): each interval
+    takes two consecutive draws in increasing order."""
+    return np.sort(draws.reshape(*draws.shape[:-1], 3, 2), axis=-1).reshape(draws.shape)
+
+
+def _nested_rows(draws: np.ndarray, *operands: np.ndarray, superset: bool) -> np.ndarray:
+    """Endpoint rows from uniform draws of shape (..., 6) that contain every
+    operand (``superset``) or lie inside every operand. Only min/max, never
+    arithmetic or set operators: the rows stay on the draws' dyadic grid, and
+    a common bound never assumes the lattice laws it is used to test."""
+    out = np.empty_like(draws)
+    for lo, hi in ((0, 1), (2, 3), (4, 5)):
+        # a superset raises truth and lowers the rest; a subset the reverse
+        if (lo == 0) == superset:
+            first, second, outer, inner = hi, lo, np.maximum, np.minimum
+        else:
+            first, second, outer, inner = lo, hi, np.minimum, np.maximum
+        out[..., first] = outer.reduce([*(d[..., first] for d in operands), draws[..., first]])
+        nudged = inner(draws[..., second], out[..., first])
+        out[..., second] = outer.reduce([*(d[..., second] for d in operands), nudged])
+    return out
+
+
+def _check_run(trials: int, seed: int, tol: float) -> None:
+    """Refuse run parameters that would crash a check or silently weaken it:
+    fewer than one trial, a negative seed, or a tolerance that is NaN,
+    infinite or negative (no difference exceeds an infinite one)."""
+    if trials < 1:
+        raise InvalidParameter(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidParameter(f"tol must be finite and >= 0, got {tol}")

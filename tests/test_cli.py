@@ -145,6 +145,22 @@ class TestCheck:
         assert a == b
 
 
+class TestCheckNumbers:
+    @pytest.mark.parametrize("flags", [
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--tol", "-1"),
+        ("--seed", "-1"),
+        ("--trials", "0"),
+    ])
+    def test_bad_numbers_are_usage_errors(self, flags):
+        # --tol nan used to be accepted and --seed -1 ended in a traceback
+        code, out, err = run_cli("check", "--all", *flags)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("ins check: error: argument")
+
+
 class TestConvex:
     def test_triangular_documented_invocation(self):
         code, out, _ = run_cli(
@@ -205,6 +221,22 @@ class TestConvex:
     def test_deterministic_output(self):
         args = ("convex", "--family", "bimodal(4)", "--box", "-3:3", "--seed", "6")
         assert run_cli(*args) == run_cli(*args)
+
+    @pytest.mark.parametrize("flags", [
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--seed", "-1"),
+        ("--lambda-grid", "1"),
+        ("--family", "triangular(0,nan)"),
+        ("--family", "gaussian(inf)"),
+        ("--box", "-1e308:1e308"),
+    ])
+    def test_bad_numbers_are_usage_errors(self, flags):
+        # each used to pass silently, print a traceback or exit 1
+        code, out, err = run_cli("convex", "--family", "bimodal(4)", "--box", "-3:3", *flags)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(("ins convex: error: argument", "ins: error:"))
 
 
 class TestEndToEnd:

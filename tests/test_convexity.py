@@ -7,6 +7,7 @@ from ins import (
     DimensionMismatch,
     FunctionalINS,
     InvalidDomain,
+    InvalidParameter,
     NO_VIOLATION,
     UnknownFamily,
     VIOLATED,
@@ -236,6 +237,10 @@ class TestValidation:
             Box(((2.0, -2.0),))
         with pytest.raises(InvalidDomain):
             Box(((0.0, float("inf")),))
+        # finite bounds whose width overflows to infinity gave NaN points
+        # and a silent no-violation-found for the bimodal family
+        with pytest.raises(InvalidDomain):
+            Box(((-1e308, 1e308),))
         assert Box(((0.0, 0.0), (1.0, 2.0))).dimension == 2
 
     def test_point_box_refused_by_strict_check(self):
@@ -265,6 +270,11 @@ class TestValidation:
             check_convex(f, box, lambda_grid=1)
         with pytest.raises(ValueError):
             check_convex(f, box, tol=-1.0)
+        for kwargs in ({"tol": float("nan")}, {"tol": float("inf")}, {"seed": -1}):
+            with pytest.raises(InvalidParameter):
+                check_convex(f, box, **kwargs)
+            with pytest.raises(InvalidParameter):
+                check_strongly_convex(f, box, **kwargs)
 
     def test_family_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -273,6 +283,11 @@ class TestValidation:
             gaussian(0, -1)
         with pytest.raises(ValueError):
             bimodal(-1)
+        # NaN slipped past width <= 0 and became the all-zero bump
+        for make in (lambda: triangular(0, float("nan")), lambda: triangular(float("inf"), 1),
+                     lambda: gaussian(float("nan"), 1), lambda: bimodal(float("inf"))):
+            with pytest.raises(InvalidDomain):
+                make()
 
 
 class TestMultiDimensional:

@@ -91,14 +91,12 @@ def test_failed_law_reports_trial(monkeypatch):
     # force a failure to exercise the reporting path end to end
     import ins.laws as laws_mod
 
-    calls = {"n": 0}
-
-    def flaky(rng, universe, tol):
-        calls["n"] += 1
-        return "synthetic failure" if calls["n"] == 3 else None
+    def flaky(chunk, draws, tails, tol):
+        trial = chunk.first + np.arange(len(chunk.universes))
+        chunk.flag("synthetic failure", trial == 2)
 
     monkeypatch.setitem(
-        laws_mod._REGISTRY, "involution", ("description", flaky)
+        laws_mod._REGISTRY, "involution", ("description", laws_mod._Law(flaky, 1))
     )
     result = run_law("involution", trials=10, seed=0)
     assert not result.passed
