@@ -115,18 +115,23 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _load_environment(path: str) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    return dsl.parse_sets(text)
+def _load_environment(path: str) -> dict | None:
+    """The sets in the file at ``path``, or None once the reason it cannot
+    be read or parsed is reported (a usage error, exit code 2)."""
+    try:
+        return dsl.parse_sets(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        _usage_error(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        _usage_error(f"cannot read {path}: {exc}")
+    except SourceError as exc:
+        _diag(path, exc)
+    return None
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        env = _load_environment(args.sets)
-    except OSError as exc:
-        return _usage_error(f"cannot read {args.sets}: {exc.strerror or exc}")
-    except SourceError as exc:
-        _diag(args.sets, exc)
+    env = _load_environment(args.sets)
+    if env is None:
         return 2
     try:
         expr = dsl.parse_expr(args.expr)
@@ -160,12 +165,8 @@ def _law_lines(result: LawResult) -> str:
 def _cmd_check(args: argparse.Namespace) -> int:
     universes = None
     if args.sets:
-        try:
-            env = _load_environment(args.sets)
-        except OSError as exc:
-            return _usage_error(f"cannot read {args.sets}: {exc.strerror or exc}")
-        except SourceError as exc:
-            _diag(args.sets, exc)
+        env = _load_environment(args.sets)
+        if env is None:
             return 2
         universes = [s.universe for s in env.values()]
         if not universes:

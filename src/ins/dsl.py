@@ -12,7 +12,7 @@ tightest first: ``~`` (complement), ``&`` (intersection), ``|`` (union),
 ``\\`` (difference), ``+`` (addition); all binary operators associate left.
 Named functions: ``tf``/``ff`` (truth/false-favorite), ``cart``/``prod``
 (cartesian and elementwise product), ``scale(k, e)`` and ``div(e, k)`` with a
-positive decimal literal ``k``. The predicates ``subset``, ``eq`` and
+positive ASCII decimal literal ``k``. The predicates ``subset``, ``eq`` and
 ``empty`` may only appear as the root of an expression.
 
 Every diagnostic is a :class:`~ins.errors.SourceError` carrying a 1-based
@@ -174,6 +174,9 @@ class Empty(Expr):
 # Lexer
 
 _PUNCT = "()|&\\+~,"
+# ASCII decimals only, in set files and expressions alike: str.isdigit()
+# accepts digits that float() refuses or reads as other numbers
+_NUM_RE = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+")
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,17 +211,11 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(_Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
+        number = _NUM_RE.match(text, i)
+        if number:
+            tokens.append(_Token("number", number.group(), line, start_col))
+            col += number.end() - i
+            i = number.end()
             continue
         if c in _PUNCT:
             tokens.append(_Token(c, c, line, start_col))
@@ -231,10 +228,52 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # --------------------------------------------------------------------------
-# Expression parser
+# Operator tables: the parser, evaluator and printer all read these.
 
-_SET_FUNCTIONS = {"tf", "ff", "cart", "prod", "scale", "div"}
-_PREDICATES = {"subset", "eq", "empty"}
+# Infix operators, loosest first; all associate left. ``~`` binds tighter.
+_INFIX = (("+", Add), ("\\", Difference), ("|", Union), ("&", Intersect))
+
+# name -> (node type, argument kinds in field order); a kind is Expr for a
+# subexpression or float for a positive decimal literal
+_FUNCTIONS = {
+    "tf": (TruthFav, (Expr,)),
+    "ff": (FalseFav, (Expr,)),
+    "cart": (Cart, (Expr, Expr)),
+    "prod": (Prod, (Expr, Expr)),
+    "scale": (Scale, (float, Expr)),
+    "div": (Div, (Expr, float)),
+}
+# allowed only as the root of an expression
+_PREDICATES = {
+    "subset": (Subset, (Expr, Expr)),
+    "eq": (Equal, (Expr, Expr)),
+    "empty": (Empty, (Expr,)),
+}
+# node type -> (name, argument kinds) of every function and predicate
+_CALLS = {t: (name, kinds) for name, (t, kinds) in (_FUNCTIONS | _PREDICATES).items()}
+
+_OPS = {
+    Complement: core.complement,
+    Union: core.union,
+    Intersect: core.intersect,
+    Difference: core.difference,
+    Add: core.add,
+    Cart: core.cartesian_product,
+    Prod: core.pointwise_product,
+    Scale: core.scalar_mul,
+    Div: core.scalar_div,
+    TruthFav: core.truth_favorite,
+    FalseFav: core.false_favorite,
+    Subset: core.is_contained,
+    Equal: core.equals,
+    Empty: core.is_empty,
+}
+# not used here, but tracing tools repoint the operators through these names
+_BINARY_OPS = _UNARY_OPS = _OPS
+
+
+# --------------------------------------------------------------------------
+# Expression parser
 
 
 class _Parser:
@@ -270,7 +309,7 @@ class _Parser:
             and tok.text in _PREDICATES
             and self._peek(1).kind == "("
         ):
-            node = self._predicate()
+            node = self._call(self._advance(), _PREDICATES)
         else:
             node = self._expression()
         end = self._peek()
@@ -278,33 +317,15 @@ class _Parser:
             raise self._error(end, f"unexpected trailing input {self._describe(end)}")
         return node
 
-    def _predicate(self) -> Expr:
-        name_tok = self._advance()
-        self._expect("(", "'('")
-        first = self._expression()
-        if name_tok.text == "empty":
-            self._expect(")", "')'")
-            return Empty(first, line=name_tok.line, col=name_tok.col)
-        self._expect(",", "','")
-        second = self._expression()
-        self._expect(")", "')'")
-        node_type = Subset if name_tok.text == "subset" else Equal
-        return node_type(first, second, line=name_tok.line, col=name_tok.col)
-
-    def _expression(self) -> Expr:
-        return self._binary_chain(
-            "+", Add, lambda: self._binary_chain(
-                "\\", Difference, lambda: self._binary_chain(
-                    "|", Union, lambda: self._binary_chain("&", Intersect, self._unary)
-                )
-            )
-        )
-
-    def _binary_chain(self, op: str, node_type, sub) -> Expr:
-        node = sub()
-        while self._peek().kind == op:
+    def _expression(self, level: int = 0) -> Expr:
+        """A chain of ``_INFIX[level]`` operators, or of the tighter levels."""
+        if level == len(_INFIX):
+            return self._unary()
+        symbol, node_type = _INFIX[level]
+        node = self._expression(level + 1)
+        while self._peek().kind == symbol:
             tok = self._advance()
-            node = node_type(node, sub(), line=tok.line, col=tok.col)
+            node = node_type(node, self._expression(level + 1), line=tok.line, col=tok.col)
         return node
 
     def _unary(self) -> Expr:
@@ -329,37 +350,21 @@ class _Parser:
                 raise self._error(
                     tok, f"predicate {tok.text!r} is only allowed at the top level"
                 )
-            if tok.text not in _SET_FUNCTIONS:
+            if tok.text not in _FUNCTIONS:
                 raise self._error(tok, f"unknown function {tok.text!r}")
-            return self._call(tok)
+            return self._call(tok, _FUNCTIONS)
         raise self._error(tok, f"expected an expression, found {self._describe(tok)}")
 
-    def _call(self, name_tok: _Token) -> Expr:
-        name = name_tok.text
-        pos = {"line": name_tok.line, "col": name_tok.col}
+    def _call(self, name_tok: _Token, table: dict) -> Expr:
+        node_type, kinds = table[name_tok.text]
         self._expect("(", "'('")
-        if name in ("tf", "ff"):
-            operand = self._expression()
-            self._expect(")", "')'")
-            return (TruthFav if name == "tf" else FalseFav)(operand, **pos)
-        if name in ("cart", "prod"):
-            left = self._expression()
-            self._expect(",", "','")
-            right = self._expression()
-            self._expect(")", "')'")
-            return (Cart if name == "cart" else Prod)(left, right, **pos)
-        if name == "scale":
-            factor = self._number()
-            self._expect(",", "','")
-            operand = self._expression()
-            self._expect(")", "')'")
-            return Scale(factor, operand, **pos)
-        # div
-        operand = self._expression()
-        self._expect(",", "','")
-        divisor = self._number()
+        args = []
+        for i, kind in enumerate(kinds):
+            if i:
+                self._expect(",", "','")
+            args.append(self._number() if kind is float else self._expression())
         self._expect(")", "')'")
-        return Div(operand, divisor, **pos)
+        return node_type(*args, line=name_tok.line, col=name_tok.col)
 
     def _number(self) -> float:
         tok = self._expect("number", "a positive decimal literal")
@@ -380,20 +385,6 @@ def parse_expr(text: str) -> Expr:
 # --------------------------------------------------------------------------
 # Evaluation
 
-_BINARY_OPS = {
-    Union: core.union,
-    Intersect: core.intersect,
-    Difference: core.difference,
-    Add: core.add,
-    Prod: core.pointwise_product,
-}
-
-_UNARY_OPS = {
-    Complement: core.complement,
-    TruthFav: core.truth_favorite,
-    FalseFav: core.false_favorite,
-}
-
 
 def evaluate(expr: Expr, env: Environment) -> EvalResult:
     """Evaluate an expression bottom-up over the named sets in ``env``.
@@ -402,47 +393,23 @@ def evaluate(expr: Expr, env: Environment) -> EvalResult:
     everything else a discrete set. Errors carry the offending node's source
     position.
     """
-    node_type = type(expr)
-    if node_type is Ident:
+    if type(expr) is Ident:
         try:
             return env[expr.name]
         except KeyError:
             raise _err(UNKNOWN_IDENTIFIER, expr, f"unknown set {expr.name!r}") from None
-    if node_type in _UNARY_OPS:
-        return _UNARY_OPS[node_type](_set_operand(expr.operand, env, expr))
-    if node_type in _BINARY_OPS:
-        left = _set_operand(expr.left, env, expr)
-        right = _set_operand(expr.right, env, expr)
-        return _core_call(expr, _BINARY_OPS[node_type], left, right)
-    if node_type is Cart:
-        left = _set_operand(expr.left, env, expr)
-        right = _set_operand(expr.right, env, expr)
-        return core.cartesian_product(left, right)
-    if node_type is Scale:
-        return _core_call(
-            expr, core.scalar_mul, expr.factor, _set_operand(expr.operand, env, expr)
-        )
-    if node_type is Div:
-        return _core_call(
-            expr, core.scalar_div, _set_operand(expr.operand, env, expr), expr.divisor
-        )
-    if node_type is Subset:
-        return _core_call(
-            expr,
-            core.is_contained,
-            _set_operand(expr.left, env, expr),
-            _set_operand(expr.right, env, expr),
-        )
-    if node_type is Equal:
-        return _core_call(
-            expr,
-            core.equals,
-            _set_operand(expr.left, env, expr),
-            _set_operand(expr.right, env, expr),
-        )
-    if node_type is Empty:
-        return core.is_empty(_set_operand(expr.operand, env, expr))
-    raise TypeError(f"not an expression node: {expr!r}")
+    op = _OPS.get(type(expr))
+    if op is None:
+        raise TypeError(f"not an expression node: {expr!r}")
+    fields = [getattr(expr, name) for name in expr.__match_args__]
+    kinds = _CALLS[type(expr)][1] if type(expr) in _CALLS else [Expr] * len(fields)
+    args = [v if kind is float else _set_operand(v, env, expr) for v, kind in zip(fields, kinds)]
+    try:
+        return op(*args)
+    except UniverseMismatch as exc:
+        raise _err(UNIVERSE_MISMATCH, expr, str(exc)) from None
+    except NonPositiveScalar as exc:
+        raise _err(NON_POSITIVE_SCALAR, expr, str(exc)) from None
 
 
 def _err(kind: str, node: Expr, message: str) -> SourceError:
@@ -466,20 +433,10 @@ def _set_operand(child: Expr, env: Environment, parent: Expr) -> DiscreteINS:
     return value
 
 
-def _core_call(node: Expr, fn, *args):
-    try:
-        return fn(*args)
-    except UniverseMismatch as exc:
-        raise _err(UNIVERSE_MISMATCH, node, str(exc)) from None
-    except NonPositiveScalar as exc:
-        raise _err(NON_POSITIVE_SCALAR, node, str(exc)) from None
-
-
 # --------------------------------------------------------------------------
 # Set file parsing
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
-_NUM_RE = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+")
 
 
 def parse_sets(text: str) -> dict[str, DiscreteINS]:
@@ -658,14 +615,16 @@ def set_to_json(s: DiscreteINS | PairedINS, name: str = "result") -> dict:
     return {"name": name, "elements": elements}
 
 
-_PRECEDENCE = {Add: 1, Difference: 2, Union: 3, Intersect: 4, Complement: 5}
-_BINARY_TEXT = {Add: " + ", Difference: " \\ ", Union: " | ", Intersect: " & "}
-_CALL_TEXT = {TruthFav: "tf", FalseFav: "ff", Cart: "cart", Prod: "prod"}
-_PREDICATE_TEXT = {Subset: "subset", Equal: "eq", Empty: "empty"}
+# node type -> printing level: infix operators by their index in _INFIX,
+# then ``~``; identifiers and calls bind tightest
+_LEVEL = {node_type: level for level, (_, node_type) in enumerate(_INFIX)}
+_LEVEL[Complement] = len(_INFIX)
 
 
-def _prec(e: Expr) -> int:
-    return _PRECEDENCE.get(type(e), 6)
+def _operand_text(e: Expr, level: int) -> str:
+    """``e`` rendered, in parentheses unless it binds at least at ``level``."""
+    text = format_expr(e)
+    return text if _LEVEL.get(type(e), len(_INFIX) + 1) >= level else f"({text})"
 
 
 def format_expr(e: Expr) -> str:
@@ -675,29 +634,17 @@ def format_expr(e: Expr) -> str:
     if t is Ident:
         return e.name
     if t is Complement:
-        inner = format_expr(e.operand)
-        if _prec(e.operand) < 5:
-            inner = f"({inner})"
-        return f"~{inner}"
-    if t in _BINARY_TEXT:
-        p = _PRECEDENCE[t]
-        left = format_expr(e.left)
-        if _prec(e.left) < p:
-            left = f"({left})"
-        right = format_expr(e.right)
-        if _prec(e.right) <= p:
-            right = f"({right})"
-        return f"{left}{_BINARY_TEXT[t]}{right}"
-    if t in _CALL_TEXT:
-        if t in (Cart, Prod):
-            return f"{_CALL_TEXT[t]}({format_expr(e.left)},{format_expr(e.right)})"
-        return f"{_CALL_TEXT[t]}({format_expr(e.operand)})"
-    if t is Scale:
-        return f"scale({_fmt_number(e.factor, 17)},{format_expr(e.operand)})"
-    if t is Div:
-        return f"div({format_expr(e.operand)},{_fmt_number(e.divisor, 17)})"
-    if t in _PREDICATE_TEXT:
-        if t is Empty:
-            return f"empty({format_expr(e.operand)})"
-        return f"{_PREDICATE_TEXT[t]}({format_expr(e.left)},{format_expr(e.right)})"
+        return "~" + _operand_text(e.operand, _LEVEL[t])
+    if t in _LEVEL:
+        level = _LEVEL[t]
+        symbol = _INFIX[level][0]
+        return f"{_operand_text(e.left, level)} {symbol} {_operand_text(e.right, level + 1)}"
+    if t in _CALLS:
+        name, kinds = _CALLS[t]
+        args = [
+            _fmt_number(getattr(e, field), 17) if kind is float
+            else format_expr(getattr(e, field))
+            for field, kind in zip(e.__match_args__, kinds)
+        ]
+        return f"{name}({','.join(args)})"
     raise TypeError(f"not an expression node: {e!r}")

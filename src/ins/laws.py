@@ -124,22 +124,6 @@ def _bound(draws: np.ndarray, *operands: np.ndarray, superset: bool) -> np.ndarr
     return _validated(_nested_rows(draws, *operands, superset=superset))
 
 
-def _fail_eq(relation: str, x: DiscreteINS, y: DiscreteINS, tol: float) -> str | None:
-    """None if x == y (within tol per endpoint), else a rendered failure."""
-    chunk = _Chunk(0, [x.universe])
-    chunk.eq(relation, x.endpoints, y.endpoints, tol)
-    found = chunk.verdict()
-    return found and found[1]
-
-
-def _fail_contained(relation: str, x: DiscreteINS, y: DiscreteINS) -> str | None:
-    """None if x is contained in y, else a rendered failure."""
-    chunk = _Chunk(0, [x.universe])
-    chunk.contained(relation, x.endpoints, y.endpoints)
-    found = chunk.verdict()
-    return found and found[1]
-
-
 def _check_commutativity(chunk, draws, others, tol):
     a, b = map(_set, draws)
     for name, op in (("union", core._union), ("intersect", core._intersect),

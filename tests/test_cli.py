@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ins.cli import main
 
@@ -59,6 +61,19 @@ class TestEval:
     def test_missing_file(self, tmp_path):
         code, _, err = run_cli("eval", "--sets", str(tmp_path / "nope.ins"), "--expr", "A")
         assert code == 2 and "cannot read" in err
+
+    def test_non_ascii_digit_is_a_lex_error(self, ex1_path):
+        code, out, err = run_cli("eval", "--sets", str(ex1_path), "--expr", "scale(\u00b2,A)")
+        assert (code, out) == (2, "")
+        assert err == "ins: <expr>:1:7: LexError: unexpected character '\u00b2'\n"
+
+    @pytest.mark.parametrize("command", [["eval", "--expr", "A"], ["check", "--law", "involution"]])
+    def test_undecodable_set_file(self, tmp_path, command):
+        bad = tmp_path / "latin.ins"
+        bad.write_bytes(b"set A\n  x\xff : [0,1] [0,1] [0,1]\nend\n")
+        code, out, err = run_cli(*command, "--sets", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ins: error: cannot read {bad}: ") and "0xff" in err
 
     def test_json_output(self, ex1_path):
         code, out, _ = run_cli(
@@ -262,3 +277,53 @@ class TestEndToEnd:
             [sys.executable, "-m", "ins", "eval"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+
+
+SET_FILE = (
+    "set A\n  x1 : [0.2,0.4] [0.3,0.5] [0.3,0.5]\n  x2 : [0,1] [0,0] [0.5,0.5]\nend\n"
+    "set B\n  x2 : [0.1,0.2] [0.2,0.3] [0.3,0.4]\n  x1 : [1,1] [0,1] [0,0]\nend\n"
+)
+EXPR_TEXT = st.lists(
+    st.sampled_from(list("AB()|&\\+~,.0123456789 \n?") + ["tf", "cart", "scale", "div",
+                                                           "subset", "eq", "empty", "\u00b2"]),
+    max_size=20,
+).map("".join)
+SET_LINES = SET_FILE.split("\n") + ["\xff", "set A", "end", ":", "  x1 : [0.5,0.2] [0,1] [0,1]"]
+SET_BYTES = st.one_of(
+    st.binary(max_size=80),
+    st.lists(st.sampled_from(SET_LINES), max_size=8).map(
+        lambda lines: "\n".join(lines).encode("latin-1")),
+)
+# one stderr line: a positioned diagnostic, or a usage error
+STDERR_LINE = re.compile(r"ins: (?:.+:\d+:\d+: [A-Za-z]+: |error: ).*")
+
+
+def _assert_clean_exit(argv):
+    code, _, err = run_cli(*argv)
+    assert code in (0, 1, 2)
+    lines = err.split("\n")
+    assert lines.pop() == ""  # empty, or whole lines
+    for line in lines:
+        assert STDERR_LINE.fullmatch(line), line
+
+
+class TestFuzz:
+    """No input reaches a traceback: every run ends with exit code 0, 1 or 2
+    and diagnostics in the documented form."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(EXPR_TEXT)
+    @example("scale(\u00b2,A)")
+    def test_eval_expression(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz_sets.ins"
+        path.write_text(SET_FILE, encoding="utf-8")
+        _assert_clean_exit(["eval", "--sets", str(path), f"--expr={text}"])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(SET_BYTES)
+    @example(b"set A\n  x\xff : [0,1] [0,1] [0,1]\nend\n")
+    def test_set_file_bytes(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz_bytes.ins"
+        path.write_bytes(raw)
+        _assert_clean_exit(["eval", "--sets", str(path), "--expr", "A"])
+        _assert_clean_exit(["check", "--law", "involution", "--trials", "1", "--sets", str(path)])

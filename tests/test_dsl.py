@@ -144,6 +144,14 @@ class TestParseErrors:
         e = err(parse_expr, "A |\n   ?")
         assert (e.line, e.column) == (2, 4)
 
+    def test_literals_are_ascii_decimals(self):
+        # other Unicode digits are refused where they stand, not converted
+        e = err(parse_expr, "scale(\u00b2,A)")
+        assert e.kind == "LexError" and (e.line, e.column) == (1, 7)
+        e = err(parse_expr, "scale(1\u0663,A)")
+        assert e.kind == "LexError" and (e.line, e.column) == (1, 8)
+        assert parse_expr("A\u00b2") == Ident("A\u00b2")  # identifiers unchanged
+
     def test_number_not_an_atom(self):
         e = err(parse_expr, "A | 5")
         assert e.kind == "ParseError" and e.column == 5

@@ -11,7 +11,7 @@ from ins import (
     union,
     universal_set,
 )
-from ins.laws import _fail_contained, _fail_eq
+from ins.laws import _Chunk
 from ins.sampling import random_set, random_subset, random_superset, rng_from_seed
 
 from golden_data import build_a
@@ -74,17 +74,24 @@ def test_counterexample_rendering():
 
     x = DiscreteINS([("e1", nv(0.1, 0.2, 0.3, 0.4, 0.5, 0.6))])
     y = DiscreteINS([("e1", nv(0.1, 0.25, 0.3, 0.4, 0.5, 0.6))])
-    msg = _fail_eq("lhs != rhs", x, y, 0.0)
+
+    def failure(check, *args):
+        chunk = _Chunk(0, [x.universe])
+        getattr(chunk, check)(*args)
+        found = chunk.verdict()
+        return found and found[1]
+
+    msg = failure("eq", "lhs != rhs", x.endpoints, y.endpoints, 0.0)
     assert msg is not None
     assert "element e1" in msg and "[0.1,0.2]" in msg and "[0.1,0.25]" in msg
-    assert _fail_eq("lhs != rhs", x, x, 0.0) is None
+    assert failure("eq", "lhs != rhs", x.endpoints, x.endpoints, 0.0) is None
     # tolerance-based comparison treats tiny drift as equal
     z = DiscreteINS.from_array(("e1",), x.endpoints + 1e-15)
-    assert _fail_eq("lhs != rhs", x, z, 1e-12) is None
+    assert failure("eq", "lhs != rhs", x.endpoints, z.endpoints, 1e-12) is None
     # containment failure points at the first offending element
-    msg = _fail_contained("not contained", y, x)
+    msg = failure("contained", "not contained", y.endpoints, x.endpoints)
     assert msg is not None and "element e1" in msg
-    assert _fail_contained("ok", x, y) is None
+    assert failure("contained", "ok", x.endpoints, y.endpoints) is None
 
 
 def test_failed_law_reports_trial(monkeypatch):
