@@ -275,6 +275,10 @@ _BINARY_OPS = _UNARY_OPS = _OPS
 # --------------------------------------------------------------------------
 # Expression parser
 
+# Deepest nesting allowed: each parenthesized group, ``~`` and call opens a
+# level (``~(A | B)`` has two); operator chains, read in a loop, open none.
+_MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]) -> None:
@@ -309,37 +313,43 @@ class _Parser:
             and tok.text in _PREDICATES
             and self._peek(1).kind == "("
         ):
-            node = self._call(self._advance(), _PREDICATES)
+            node = self._call(self._advance(), _PREDICATES, 0)
         else:
-            node = self._expression()
+            node = self._expression(0)
         end = self._peek()
         if end.kind != "eof":
             raise self._error(end, f"unexpected trailing input {self._describe(end)}")
         return node
 
-    def _expression(self, level: int = 0) -> Expr:
+    def _nest(self, tok: _Token, depth: int) -> int:
+        """The level that ``tok`` opens when ``depth`` levels are open."""
+        if depth == _MAX_DEPTH:
+            raise self._error(tok, f"expression nests deeper than {_MAX_DEPTH} levels")
+        return depth + 1
+
+    def _expression(self, depth: int, level: int = 0) -> Expr:
         """A chain of ``_INFIX[level]`` operators, or of the tighter levels."""
         if level == len(_INFIX):
-            return self._unary()
+            return self._unary(depth)
         symbol, node_type = _INFIX[level]
-        node = self._expression(level + 1)
+        node = self._expression(depth, level + 1)
         while self._peek().kind == symbol:
             tok = self._advance()
-            node = node_type(node, self._expression(level + 1), line=tok.line, col=tok.col)
+            node = node_type(node, self._expression(depth, level + 1), line=tok.line, col=tok.col)
         return node
 
-    def _unary(self) -> Expr:
+    def _unary(self, depth: int) -> Expr:
         tok = self._peek()
         if tok.kind == "~":
             self._advance()
-            return Complement(self._unary(), line=tok.line, col=tok.col)
-        return self._atom()
+            return Complement(self._unary(self._nest(tok, depth)), line=tok.line, col=tok.col)
+        return self._atom(depth)
 
-    def _atom(self) -> Expr:
+    def _atom(self, depth: int) -> Expr:
         tok = self._peek()
         if tok.kind == "(":
             self._advance()
-            node = self._expression()
+            node = self._expression(self._nest(tok, depth))
             self._expect(")", "')'")
             return node
         if tok.kind == "ident":
@@ -352,17 +362,18 @@ class _Parser:
                 )
             if tok.text not in _FUNCTIONS:
                 raise self._error(tok, f"unknown function {tok.text!r}")
-            return self._call(tok, _FUNCTIONS)
+            return self._call(tok, _FUNCTIONS, depth)
         raise self._error(tok, f"expected an expression, found {self._describe(tok)}")
 
-    def _call(self, name_tok: _Token, table: dict) -> Expr:
+    def _call(self, name_tok: _Token, table: dict, depth: int) -> Expr:
         node_type, kinds = table[name_tok.text]
         self._expect("(", "'('")
+        depth = self._nest(name_tok, depth)
         args = []
         for i, kind in enumerate(kinds):
             if i:
                 self._expect(",", "','")
-            args.append(self._number() if kind is float else self._expression())
+            args.append(self._number() if kind is float else self._expression(depth))
         self._expect(")", "')'")
         return node_type(*args, line=name_tok.line, col=name_tok.col)
 
@@ -438,21 +449,41 @@ def _set_operand(child: Expr, env: Environment, parent: Expr) -> DiscreteINS:
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
+# An element line is ``LABEL : [lo,hi] [lo,hi] [lo,hi]``, written once here:
+# parse_sets matches whole lines against the concatenation and
+# _element_fault walks the same pieces to report where a line breaks off.
+# The label is one token with no ':' and any whitespace around it; spaces
+# and tabs may precede each piece of an interval (with the message that
+# reports a line without the piece); any whitespace may end the line.
+_LABEL_RE = re.compile(r"\s*([^\s:]+)\s*:")
+_BLANKS_RE = re.compile(r"[ \t]*")
+_INTERVAL = (
+    (r"\[", "expected '[' starting an interval"),
+    (f"({_NUM_RE.pattern})", "expected a decimal number"),
+    (",", "expected ',' inside interval"),
+    (f"({_NUM_RE.pattern})", "expected a decimal number"),
+    (r"\]", "expected ']' closing interval"),
+)
+_ELEMENT_RE = re.compile(
+    _LABEL_RE.pattern + "".join(_BLANKS_RE.pattern + p for p, _ in _INTERVAL) * 3 + r"\s*"
+)
+
 
 def parse_sets(text: str) -> dict[str, DiscreteINS]:
-    """Parse a set file into an environment, in declaration order."""
+    """Parse a set file into an environment, in declaration order; the first
+    error in file order is the one reported."""
     env: dict[str, DiscreteINS] = {}
     lines = text.split("\n")
     current: str | None = None
-    items: list[tuple[str, core.NeutrosophicValue]] = []
-    labels_seen: set[str] = set()
+    rows: dict[str, int] = {}  # label -> line number, in the open block
+    numbers: list[str] = []  # the open block's endpoints, six a row
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        indent = len(line) - len(line.lstrip())
-        first_col = indent + 1
         if current is None:
+            indent = len(line) - len(line.lstrip())
+            first_col = indent + 1
             words = stripped.split()
             if words[0] != "set":
                 raise SourceError(
@@ -474,48 +505,21 @@ def parse_sets(text: str) -> dict[str, DiscreteINS]:
                     PARSE_ERROR, lineno, name_col, f"duplicate set name {name!r}"
                 )
             current = name
-            items = []
-            labels_seen = set()
+            rows = {}
+            numbers = []
             continue
         if stripped == "end":
-            env[current] = DiscreteINS(items)
+            env[current] = _block(lines, current, rows, numbers)
             current = None
             continue
-        colon = line.find(":")
-        if colon < 0:
-            if stripped.split()[0] == "set":
-                raise SourceError(
-                    PARSE_ERROR, lineno, first_col,
-                    f"'set' inside block {current!r} (missing 'end'?)",
-                )
-            raise SourceError(
-                PARSE_ERROR, lineno, first_col,
-                "expected 'LABEL : T I F' element line or 'end'",
-            )
-        label = line[:colon].strip()
-        if not label or any(ch.isspace() for ch in label):
-            raise SourceError(
-                PARSE_ERROR, lineno, first_col,
-                "element label must be a single token before ':'",
-            )
-        if label in labels_seen:
-            raise SourceError(
-                PARSE_ERROR, lineno, first_col, f"duplicate element label {label!r}"
-            )
-        labels_seen.add(label)
-        pos = colon + 1
-        intervals = []
-        for _ in range(3):
-            interval, pos = _parse_interval(line, pos, lineno)
-            intervals.append(interval)
-        tail = line[pos:].strip()
-        if tail:
-            raise SourceError(
-                PARSE_ERROR, lineno, pos + (len(line[pos:]) - len(line[pos:].lstrip())) + 1,
-                f"unexpected trailing text {tail.split()[0]!r}",
-            )
-        items.append((label, core.NeutrosophicValue(*intervals)))
+        m = _ELEMENT_RE.fullmatch(line)
+        if m is None or m[1] in rows:
+            _block(lines, current, rows, numbers)  # an earlier bad row comes first
+            raise SourceError(PARSE_ERROR, lineno, *_element_fault(line, current, rows))
+        rows[m[1]] = lineno
+        numbers += m.group(2, 3, 4, 5, 6, 7)
     if current is not None:
+        _block(lines, current, rows, numbers)
         last = len(lines)
         raise SourceError(
             PARSE_ERROR, last, len(lines[-1]) + 1, f"missing 'end' for set {current!r}"
@@ -523,42 +527,53 @@ def parse_sets(text: str) -> dict[str, DiscreteINS]:
     return env
 
 
-def _parse_interval(line: str, pos: int, lineno: int) -> tuple[UnitInterval, int]:
-    n = len(line)
-    while pos < n and line[pos] in " \t":
-        pos += 1
-    if pos >= n or line[pos] != "[":
-        raise SourceError(
-            PARSE_ERROR, lineno, pos + 1, "expected '[' starting an interval"
-        )
-    start_col = pos + 1
-    pos += 1
-    lo, pos = _parse_number(line, pos, lineno)
-    while pos < n and line[pos] in " \t":
-        pos += 1
-    if pos >= n or line[pos] != ",":
-        raise SourceError(PARSE_ERROR, lineno, pos + 1, "expected ',' inside interval")
-    pos += 1
-    hi, pos = _parse_number(line, pos, lineno)
-    while pos < n and line[pos] in " \t":
-        pos += 1
-    if pos >= n or line[pos] != "]":
-        raise SourceError(PARSE_ERROR, lineno, pos + 1, "expected ']' closing interval")
-    pos += 1
+def _block(lines: list[str], name: str, rows: dict[str, int], numbers: list[str]) -> DiscreteINS:
+    """Block ``name`` as a set; ``rows`` map its labels to their lines, and
+    the first line with an interval out of range is reported."""
     try:
-        return UnitInterval(lo, hi), pos
-    except InvalidInterval as exc:
-        raise SourceError(PARSE_ERROR, lineno, start_col, str(exc)) from None
+        return DiscreteINS.from_array(rows, np.array(numbers, dtype=np.float64).reshape(-1, 6))
+    except InvalidInterval:
+        for lineno in rows.values():
+            fault = _element_fault(lines[lineno - 1], name, ())
+            if fault:
+                raise SourceError(PARSE_ERROR, lineno, *fault) from None
+        raise  # no line holds the value from_array refused
 
 
-def _parse_number(line: str, pos: int, lineno: int) -> tuple[float, int]:
-    n = len(line)
-    while pos < n and line[pos] in " \t":
-        pos += 1
-    m = _NUM_RE.match(line, pos)
-    if not m:
-        raise SourceError(PARSE_ERROR, lineno, pos + 1, "expected a decimal number")
-    return float(m.group()), m.end()
+def _element_fault(line: str, block: str, labels) -> tuple[int, str] | None:
+    """The column and message of the first fault, in column order, on an
+    element line of ``block`` whose earlier lines hold ``labels``; None if
+    there is none."""
+    first_col = len(line) - len(line.lstrip()) + 1
+    m = _LABEL_RE.match(line)
+    if m is None:
+        if ":" in line:
+            return first_col, "element label must be a single token before ':'"
+        if line.split()[0] == "set":
+            return first_col, f"'set' inside block {block!r} (missing 'end'?)"
+        return first_col, "expected 'LABEL : T I F' element line or 'end'"
+    if m[1] in labels:
+        return first_col, f"duplicate element label {m[1]!r}"
+    pos = m.end()
+    for _ in range(3):
+        start = _BLANKS_RE.match(line, pos).end()
+        ends = []
+        for piece, message in _INTERVAL:
+            pos = _BLANKS_RE.match(line, pos).end()
+            m = re.compile(piece).match(line, pos)
+            if m is None:
+                return pos + 1, message
+            ends += m.groups()
+            pos = m.end()
+        try:
+            UnitInterval(*map(float, ends))
+        except InvalidInterval as exc:
+            return start + 1, str(exc)
+    rest = line[pos:]
+    if rest.strip():
+        message = f"unexpected trailing text {rest.split()[0]!r}"
+        return len(line) - len(rest.lstrip()) + 1, message
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -566,10 +581,14 @@ def _parse_number(line: str, pos: int, lineno: int) -> tuple[float, int]:
 
 def _fmt_number(value: float, precision: int) -> str:
     # Positional notation only; the file format has no exponent literals.
-    if precision >= 17:
-        return np.format_float_positional(value, unique=True, trim="-")
+    # repr and the 'g' format give the digits of numpy's positional
+    # formatter, several times faster, until they switch to an exponent.
+    text = repr(value).removesuffix(".0") if precision >= 17 else f"{value:.{precision}g}"
+    if "e" not in text:
+        return text
+    unique = precision >= 17  # shortest round-trip digits
     return np.format_float_positional(
-        value, precision=precision, unique=False, fractional=False, trim="-"
+        value, precision=None if unique else precision, unique=unique, fractional=False, trim="-"
     )
 
 
@@ -590,28 +609,19 @@ def format_set(
     if not 1 <= precision <= 17:
         raise ValueError("precision must be between 1 and 17")
     out = [f"set {name}"]
-    for label, row in zip(s.universe, s.endpoints):
-        nums = [_fmt_number(v, precision) for v in row]
-        out.append(
-            f"  {_label_text(label)} : "
-            f"[{nums[0]},{nums[1]}] [{nums[2]},{nums[3]}] [{nums[4]},{nums[5]}]"
-        )
+    for label, row in zip(s.universe, s.endpoints.tolist()):
+        t0, t1, i0, i1, f0, f1 = (_fmt_number(v, precision) for v in row)
+        out.append(f"  {_label_text(label)} : [{t0},{t1}] [{i0},{i1}] [{f0},{f1}]")
     out.append("end")
     return "\n".join(out) + "\n"
 
 
 def set_to_json(s: DiscreteINS | PairedINS, name: str = "result") -> dict:
     """JSON-ready dict: {"name", "elements": [{"label", "T", "I", "F"}]}."""
-    elements = []
-    for label, row in zip(s.universe, s.endpoints):
-        elements.append(
-            {
-                "label": _label_text(label),
-                "T": [float(row[0]), float(row[1])],
-                "I": [float(row[2]), float(row[3])],
-                "F": [float(row[4]), float(row[5])],
-            }
-        )
+    elements = [
+        {"label": _label_text(label), "T": row[0:2], "I": row[2:4], "F": row[4:6]}
+        for label, row in zip(s.universe, s.endpoints.tolist())
+    ]
     return {"name": name, "elements": elements}
 
 

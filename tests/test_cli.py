@@ -52,6 +52,16 @@ class TestEval:
         code, _, err = run_cli("eval", "--sets", str(ex1_path), "--expr", "A |")
         assert code == 2 and "ParseError" in err
 
+    @pytest.mark.parametrize("opened, closed", [("(", ")"), ("~", "")])
+    def test_nesting_limit(self, ex1_path, opened, closed):
+        text = opened * 100 + "A" + closed * 100
+        code, out, err = run_cli("eval", "--sets", str(ex1_path), "--expr", text)
+        assert code == 0 and out.startswith("set result\n") and err == ""
+        text = opened * 101 + "A" + closed * 101
+        code, out, err = run_cli("eval", "--sets", str(ex1_path), "--expr", text)
+        assert code == 2 and out == ""
+        assert err == "ins: <expr>:1:101: ParseError: expression nests deeper than 100 levels\n"
+
     def test_sets_parse_error_is_usage(self, tmp_path):
         bad = tmp_path / "bad.ins"
         bad.write_text("set A\n  x1 : [0.4,0.2] [0,1] [0,1]\nend\n")

@@ -144,6 +144,43 @@ class TestParseErrors:
         e = err(parse_expr, "A |\n   ?")
         assert (e.line, e.column) == (2, 4)
 
+    @pytest.mark.parametrize("opened, closed", [
+        ("(", ")"), ("~", ""), ("tf(", ")"), ("scale(2,", ")"), ("~(", ")"),
+    ])
+    def test_nesting_limit(self, opened, closed):
+        # one level per '(', '~' or call: 100 levels parse, 101 do not, and
+        # the error points at the token that opens level 101
+        limit = dsl._MAX_DEPTH
+        assert limit == 100
+        per_level = 2 if opened == "~(" else 1
+        count = limit // per_level
+        text = opened * count + "A" + closed * count
+        tree = parse_expr(text)
+        assert format_expr(tree).count("A") == 1
+        text = opened * count + "~A" + closed * count
+        e = err(parse_expr, text)
+        assert (e.kind, e.line, e.column, e.message) == (
+            "ParseError", 1, len(opened) * count + 1,
+            "expression nests deeper than 100 levels",
+        )
+
+    def test_operator_chains_do_not_count_as_nesting(self):
+        # 'A | A | A' is Union(Union(A, A), A), read in a loop: a chain opens
+        # no level, however long it is
+        chain = "A" + " | A" * 300
+        assert format_expr(parse_expr(chain)) == chain
+        assert evaluate(parse_expr(chain), {"A": gd.build_a()}) == gd.build_a()
+        assert type(parse_expr("A" + "|A" * 5000)) is Union
+        text = "(" * 100 + "A | A & A" + ")" * 100
+        assert format_expr(parse_expr(text)) == "A | A & A"
+        e = err(parse_expr, "subset(" + "~" * 100 + "A, A)")
+        assert (e.kind, e.column) == ("ParseError", 7 + 100)
+
+    def test_deep_input_is_refused_not_crashed(self):
+        for text in ("(" * 5000 + "A", "~" * 5000 + "A", "tf(" * 5000):
+            e = err(parse_expr, text)
+            assert e.message == "expression nests deeper than 100 levels"
+
     def test_literals_are_ascii_decimals(self):
         # other Unicode digits are refused where they stand, not converted
         e = err(parse_expr, "scale(\u00b2,A)")
@@ -168,51 +205,84 @@ class TestParseSets:
         assert parse_sets("") == {}
         assert parse_sets("\n# only a comment\n\n") == {}
 
+    @staticmethod
+    def diagnostic(text):
+        e = err(parse_sets, text)
+        return (e.kind, e.line, e.column, e.message)
+
     def test_interval_order_violation_position(self):
-        e = err(parse_sets, "set A\n  x1 : [0.4,0.2] [0,1] [0,1]\nend\n")
-        assert e.kind == "ParseError" and (e.line, e.column) == (2, 8)
+        assert self.diagnostic("set A\n  x1 : [0.4,0.2] [0,1] [0,1]\nend\n") == (
+            "ParseError", 2, 8, "need 0 <= lo <= hi <= 1, got [0.4, 0.2]")
 
     def test_out_of_range_value(self):
-        e = err(parse_sets, "set A\n  x1 : [0,1.5] [0,1] [0,1]\nend\n")
-        assert e.kind == "ParseError" and e.line == 2
+        assert self.diagnostic("set A\n  x1 : [0,1.5] [0,1] [0,1]\nend\n") == (
+            "ParseError", 2, 8, "need 0 <= lo <= hi <= 1, got [0.0, 1.5]")
 
     def test_duplicate_set_name(self):
-        text = "set A\nend\nset A\nend\n"
-        e = err(parse_sets, text)
-        assert "duplicate set name" in e.message and e.line == 3
+        assert self.diagnostic("set A\nend\nset A\nend\n") == (
+            "ParseError", 3, 5, "duplicate set name 'A'")
 
     def test_duplicate_label(self):
         text = "set A\n  x1 : [0,1] [0,1] [0,1]\n  x1 : [0,1] [0,1] [0,1]\nend\n"
-        e = err(parse_sets, text)
-        assert "duplicate element label" in e.message and e.line == 3
+        assert self.diagnostic(text) == (
+            "ParseError", 3, 3, "duplicate element label 'x1'")
 
     def test_missing_end(self):
-        e = err(parse_sets, "set A\n  x1 : [0,1] [0,1] [0,1]\n")
-        assert "missing 'end'" in e.message
+        assert self.diagnostic("set A\n  x1 : [0,1] [0,1] [0,1]\n") == (
+            "ParseError", 3, 1, "missing 'end' for set 'A'")
 
     def test_stray_end(self):
-        e = err(parse_sets, "end\n")
-        assert e.line == 1
+        assert self.diagnostic("end\n") == (
+            "ParseError", 1, 1, "expected 'set NAME', found 'end'")
 
     def test_element_outside_block(self):
-        e = err(parse_sets, "x1 : [0,1] [0,1] [0,1]\n")
-        assert "expected 'set NAME'" in e.message
+        assert self.diagnostic("x1 : [0,1] [0,1] [0,1]\n") == (
+            "ParseError", 1, 1, "expected 'set NAME', found 'x1'")
 
     def test_nested_set(self):
-        e = err(parse_sets, "set A\nset B\nend\n")
-        assert "missing 'end'" in e.message and e.line == 2
+        assert self.diagnostic("set A\nset B\nend\n") == (
+            "ParseError", 2, 1, "'set' inside block 'A' (missing 'end'?)")
 
     def test_bad_set_name(self):
-        e = err(parse_sets, "set 9lives\nend\n")
-        assert "invalid set name" in e.message and e.column == 5
+        assert self.diagnostic("set 9lives\nend\n") == (
+            "ParseError", 1, 5, "invalid set name '9lives'")
 
     def test_missing_interval(self):
-        e = err(parse_sets, "set A\n  x1 : [0,1] [0,1]\nend\n")
-        assert e.line == 2
+        assert self.diagnostic("set A\n  x1 : [0,1] [0,1]\nend\n") == (
+            "ParseError", 2, 19, "expected '[' starting an interval")
 
     def test_trailing_text(self):
-        e = err(parse_sets, "set A\n  x1 : [0,1] [0,1] [0,1] extra\nend\n")
-        assert "trailing" in e.message
+        assert self.diagnostic("set A\n  x1 : [0,1] [0,1] [0,1] extra\nend\n") == (
+            "ParseError", 2, 26, "unexpected trailing text 'extra'")
+
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("set A B\nend\n", 1, 1, "expected 'set NAME' on its own line"),
+        ("set A\n  junk\nend\n", 2, 3, "expected 'LABEL : T I F' element line or 'end'"),
+        ("set A\n  x 1 : [0,1] [0,1] [0,1]\nend\n", 2, 3,
+         "element label must be a single token before ':'"),
+        ("set A\n   : [0,1] [0,1] [0,1]\nend\n", 2, 4,
+         "element label must be a single token before ':'"),
+        ("set A\n  x1 : 0,1] [0,1] [0,1]\nend\n", 2, 8, "expected '[' starting an interval"),
+        ("set A\n  x1 : [,1] [0,1] [0,1]\nend\n", 2, 9, "expected a decimal number"),
+        ("set A\n  x1 : [0 1] [0,1] [0,1]\nend\n", 2, 11, "expected ',' inside interval"),
+        ("set A\n  x1 : [0,1 [0,1] [0,1]\nend\n", 2, 13, "expected ']' closing interval"),
+        # only spaces and tabs may stand inside and between intervals
+        ("set A\n  x1 :\u3000[0,1] [0,1] [0,1]\nend\n", 2, 7,
+         "expected '[' starting an interval"),
+        ("set A\n  x1 : [0,1]\x0b[0,1] [0,1]\nend\n", 2, 13,
+         "expected '[' starting an interval"),
+        ("set A\n  x1 : [0,1] [0,1] [0," + "9" * 400 + "]\nend\n", 2, 20,
+         "need 0 <= lo <= hi <= 1, got [0.0, inf]"),
+        # the first error in file order wins: a bad interval on an earlier
+        # line comes before a later duplicate label or a missing 'end'
+        ("set A\n  x1 : [0,1] [0,1] [0,1]\n  x2 : [0,1] [0.9,0.1] [0,1]\n"
+         "  x1 : [0,1] [0,1] [0,1]\nend\n", 3, 14, "need 0 <= lo <= hi <= 1, got [0.9, 0.1]"),
+        ("set A\n  x1 : [0,1] [0,1] [1,2]\n", 2, 20, "need 0 <= lo <= hi <= 1, got [1.0, 2.0]"),
+        ("set A\n  x1 : [0,1] [2,1] [0,1] extra\nend\n", 2, 14,
+         "need 0 <= lo <= hi <= 1, got [2.0, 1.0]"),
+    ])
+    def test_diagnostic(self, text, line, column, message):
+        assert self.diagnostic(text) == ("ParseError", line, column, message)
 
     def test_spaces_inside_intervals_allowed(self):
         env = parse_sets("set A\n  x1 : [ 0.1 , 0.2 ] [0,1] [0 , 1]\nend\n")
@@ -225,6 +295,10 @@ class TestParseSets:
     def test_crlf_tolerated(self):
         env = parse_sets("set A\r\n  x1 : [0,1] [0,1] [0,1]\r\nend\r\n")
         assert env["A"].universe == ("x1",)
+
+    def test_labels_are_any_token_without_colon(self):
+        text = "set A\n  x[1] : [0,1] [0,1] [0,1]\n\x0ba#b\u3000: [0,1] [0,1] [0,1]\u3000\nend\n"
+        assert parse_sets(text)["A"].universe == ("x[1]", "a#b")
 
 
 class TestFormatSet:
