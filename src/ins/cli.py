@@ -17,6 +17,7 @@ from pathlib import Path
 from . import dsl
 from .convexity import (
     Box,
+    MAX_LAMBDA_GRID,
     NO_VIOLATION,
     check_convex,
     check_strongly_convex,
@@ -80,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_convex.add_argument("--box", default="-2:2", metavar="LO:HI[,LO:HI...]",
                           help="sampling box, one LO:HI range per dimension")
     p_convex.add_argument("--trials", type=_ranged(1), default=1000, metavar="N")
-    p_convex.add_argument("--lambda-grid", dest="lambda_grid", type=_ranged(2),
-                          default=11, metavar="N")
+    p_convex.add_argument("--lambda-grid", dest="lambda_grid",
+                          type=_ranged(2, MAX_LAMBDA_GRID), default=11, metavar="N")
     p_convex.add_argument("--seed", type=_ranged(0), default=0, metavar="N")
     p_convex.add_argument("--tol", type=_ranged(0.0, convert=float), default=1e-9, metavar="X")
     p_convex.add_argument("--strict", action="store_true",

@@ -14,6 +14,10 @@ reproducible witness. Reports are deterministic for a fixed seed: trials run
 in draw order and the first violation wins. The oracle is queried through
 its ``batch`` form, a chunk of trials per call, so points of a chunk beyond
 the first violation may be evaluated too.
+
+Oracle values are checked and snapped once, where they enter, by the oracle
+wrapper of :class:`FunctionalINS` (``DiscreteINS.from_array`` is the other
+such boundary); the scan and :func:`intersect_functional` trust them.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "Witness",
     "ConvexityReport",
     "COMPONENTS",
+    "MAX_LAMBDA_GRID",
     "NO_VIOLATION",
     "VIOLATED",
     "check_convex",
@@ -46,6 +51,11 @@ COMPONENTS = ("infT", "supT", "infI", "supI", "infF", "supF")
 
 NO_VIOLATION = "no-violation-found"
 VIOLATED = "violated"
+
+#: Largest mixing-weight grid a check accepts. A chunk of trials queries the
+#: oracle at every grid point at once, so the grid bounds the scan's memory.
+MAX_LAMBDA_GRID = 1000
+
 
 @dataclass(frozen=True, slots=True)
 class Box:
@@ -79,7 +89,9 @@ class FunctionalINS:
     :data:`COMPONENTS` order. Give either or both; a missing one is derived
     from the other (looping the scalar oracle, or viewing one row of the
     batch). Oracles must be pure: deterministic, returning a valid value for
-    every queried point.
+    every queried point. The stored ``batch`` wraps the given (or derived)
+    one: it refuses a result that is not one valid row per point with
+    :class:`InvalidInterval` and snaps it, so it returns checked values.
     """
 
     dimension: int
@@ -89,12 +101,22 @@ class FunctionalINS:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        if self.batch is None:
-            if self.membership is None:
-                raise ValueError("a functional set needs a membership or a batch oracle")
-            object.__setattr__(self, "batch", _looped(self.membership))
-        elif self.membership is None:
-            object.__setattr__(self, "membership", _pointwise(self.batch))
+        if self.batch is None and self.membership is None:
+            raise ValueError("a functional set needs a membership or a batch oracle")
+        oracle = _looped(self.membership) if self.batch is None else self.batch
+
+        def batch(points: np.ndarray) -> np.ndarray:
+            # the one check and snap of every value an oracle gives
+            data = _validated(oracle(points))
+            if len(data) != len(points):
+                raise InvalidInterval(
+                    f"batch oracle returned {len(data)} rows for {len(points)} points"
+                )
+            return data
+
+        object.__setattr__(self, "batch", batch)
+        if self.membership is None:
+            object.__setattr__(self, "membership", _pointwise(batch))
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,26 +143,6 @@ def _endpoints(value: NeutrosophicValue) -> tuple[float, ...]:
     return (t.lo, t.hi, i.lo, i.hi, f.lo, f.hi)
 
 
-def _shaped(values, count: int) -> np.ndarray:
-    try:
-        data = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InvalidInterval("batch oracle must return a (k, 6) float array") from None
-    if data.shape != (count, 6):
-        raise InvalidInterval(
-            f"batch oracle returned shape {data.shape} for {count} points, "
-            f"expected ({count}, 6)"
-        )
-    return data
-
-
-def _checked(values, count: int) -> np.ndarray:
-    """An oracle's output for ``count`` points as a fresh ``(count, 6)``
-    array, validated as ``UnitInterval`` validates each value and snapped to
-    the same lattice; raises :class:`InvalidInterval` otherwise."""
-    return _validated(_shaped(values, count))
-
-
 def _looped(membership: Callable[[np.ndarray], NeutrosophicValue]):
     def batch(points: np.ndarray) -> np.ndarray:
         rows = []
@@ -158,9 +160,7 @@ def _looped(membership: Callable[[np.ndarray], NeutrosophicValue]):
 
 def _pointwise(batch: Callable[[np.ndarray], np.ndarray]):
     def membership(point: np.ndarray) -> NeutrosophicValue:
-        # nv validates and snaps the row as _checked would
-        row = _shaped(batch(np.asarray(point, dtype=np.float64)[None, :]), 1)[0]
-        return nv(*row.tolist())
+        return nv(*batch(np.asarray(point, dtype=np.float64)[None, :])[0].tolist())
 
     return membership
 
@@ -174,8 +174,9 @@ def _validate(a: FunctionalINS, domain: Box, trials: int, lambda_grid: int, seed
             f"box dimension {domain.dimension} does not match set dimension {a.dimension}"
         )
     _check_run(trials, seed, tol)
-    if lambda_grid < 2:
-        raise InvalidParameter(f"lambda_grid must be >= 2, got {lambda_grid}")
+    if not 2 <= lambda_grid <= MAX_LAMBDA_GRID:
+        raise InvalidParameter(
+            f"lambda_grid must be between 2 and {MAX_LAMBDA_GRID}, got {lambda_grid}")
 
 
 # Trials per oracle call grow geometrically from one, so a violation in the
@@ -216,7 +217,7 @@ def _scan(
                 continue
         mids = lam_col * pts[:, :1] + (1.0 - lam_col) * pts[:, 1:]
         queries = np.concatenate((pts, mids), axis=1).reshape(-1, a.dimension)
-        values = _checked(a.batch(queries), len(queries)).reshape(len(pts), per_trial, 6)
+        values = a.batch(queries).reshape(len(pts), per_trial, 6)
         ends, m = values[:, :2], values[:, 2:]
         # the bound each mixed value must meet is the intersection of the
         # ends (min truth, max of the rest); tol loosens it for the plain
@@ -298,9 +299,7 @@ def intersect_functional(a: FunctionalINS, b: FunctionalINS) -> FunctionalINS:
         raise DimensionMismatch(
             f"cannot intersect sets of dimension {a.dimension} and {b.dimension}"
         )
-    fa, fb = a.batch, b.batch
-
-    def batch(points: np.ndarray) -> np.ndarray:
-        return core._intersect(_checked(fa(points), len(points)), _checked(fb(points), len(points)))
-
-    return FunctionalINS(a.dimension, batch=batch)
+    # each operand's own oracle wrapper has refused any bad value that the
+    # min/max could hide
+    return FunctionalINS(a.dimension,
+                         batch=lambda points: core._intersect(a.batch(points), b.batch(points)))

@@ -140,9 +140,15 @@ _EMPTY_ROW = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
 _UNIVERSAL_ROW = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
-def _validated(data: np.ndarray) -> np.ndarray:
-    """Validate a fresh ``(n, 6)`` endpoint array and snap it in place, as
-    :meth:`DiscreteINS.from_array` does; raises :class:`InvalidInterval`."""
+def _validated(values) -> np.ndarray:
+    """``values`` copied into a fresh ``(n, 6)`` float64 array, checked and
+    snapped; else :class:`InvalidInterval`. The one check of endpoint data,
+    made where it enters: in :meth:`DiscreteINS.from_array` and in the oracle
+    wrapper of ``ins.convexity.FunctionalINS``. All else trusts its input."""
+    try:
+        data = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInterval(f"endpoints must be numeric: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 6:
         raise InvalidInterval(f"endpoint matrix must have shape (n, 6), got {data.shape}")
     if not np.all(np.isfinite(data)):
@@ -177,7 +183,7 @@ class _BaseSet:
     @classmethod
     def from_array(cls, labels: Iterable[object], data: np.ndarray):
         """Build a set from an ``(n, 6)`` endpoint matrix, validating it."""
-        arr = _validated(np.array(data, dtype=np.float64))
+        arr = _validated(data)
         labels = tuple(labels)
         if len(labels) != arr.shape[0]:
             raise ValueError("label count does not match endpoint row count")

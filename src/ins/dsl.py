@@ -270,6 +270,8 @@ _OPS = {
 }
 # not used here, but tracing tools repoint the operators through these names
 _BINARY_OPS = _UNARY_OPS = _OPS
+# node type -> argument kinds in field order, for every operator node
+_KINDS = {t: _CALLS[t][1] if t in _CALLS else (Expr,) * len(t.__match_args__) for t in _OPS}
 
 
 # --------------------------------------------------------------------------
@@ -402,33 +404,47 @@ def evaluate(expr: Expr, env: Environment) -> EvalResult:
 
     Predicates yield booleans, ``cart`` yields a set over a product universe,
     everything else a discrete set. Errors carry the offending node's source
-    position.
+    position. A node's operands evaluate in field order; the first operands
+    down a chain (the left spine of ``A | B | C``) are walked in a loop, so
+    chains of any length evaluate.
     """
+    spine = []
+    while _KINDS.get(type(expr), (float,))[0] is Expr:
+        spine.append(expr)
+        expr = getattr(expr, expr.__match_args__[0])
     if type(expr) is Ident:
         try:
-            return env[expr.name]
+            value = env[expr.name]
         except KeyError:
             raise _err(UNKNOWN_IDENTIFIER, expr, f"unknown set {expr.name!r}") from None
-    op = _OPS.get(type(expr))
-    if op is None:
+    elif type(expr) in _KINDS:
+        value = _apply(expr, env, [])
+    else:
         raise TypeError(f"not an expression node: {expr!r}")
-    fields = [getattr(expr, name) for name in expr.__match_args__]
-    kinds = _CALLS[type(expr)][1] if type(expr) in _CALLS else [Expr] * len(fields)
-    args = [v if kind is float else _set_operand(v, env, expr) for v, kind in zip(fields, kinds)]
+    for node in reversed(spine):
+        value = _apply(node, env, [_set_operand(value, node)])
+    return value
+
+
+def _apply(node: Expr, env: Environment, args: list) -> EvalResult:
+    """``node``'s operator on ``args`` and its remaining fields, in order."""
+    kinds = _KINDS[type(node)]
+    for name, kind in zip(node.__match_args__[len(args):], kinds[len(args):]):
+        value = getattr(node, name)
+        args.append(value if kind is float else _set_operand(evaluate(value, env), node))
     try:
-        return op(*args)
+        return _OPS[type(node)](*args)
     except UniverseMismatch as exc:
-        raise _err(UNIVERSE_MISMATCH, expr, str(exc)) from None
+        raise _err(UNIVERSE_MISMATCH, node, str(exc)) from None
     except NonPositiveScalar as exc:
-        raise _err(NON_POSITIVE_SCALAR, expr, str(exc)) from None
+        raise _err(NON_POSITIVE_SCALAR, node, str(exc)) from None
 
 
 def _err(kind: str, node: Expr, message: str) -> SourceError:
     return SourceError(kind, node.line, node.col, message)
 
 
-def _set_operand(child: Expr, env: Environment, parent: Expr) -> DiscreteINS:
-    value = evaluate(child, env)
+def _set_operand(value: EvalResult, parent: Expr) -> DiscreteINS:
     if isinstance(value, PairedINS):
         raise _err(
             TYPE_MISMATCH, parent,
@@ -639,16 +655,13 @@ def _operand_text(e: Expr, level: int) -> str:
 
 def format_expr(e: Expr) -> str:
     """Render an expression with minimal parentheses; reparses to an equal
-    tree."""
+    tree. The left spine of an operator chain is walked in a loop, so chains
+    of any length render."""
     t = type(e)
     if t is Ident:
         return e.name
     if t is Complement:
         return "~" + _operand_text(e.operand, _LEVEL[t])
-    if t in _LEVEL:
-        level = _LEVEL[t]
-        symbol = _INFIX[level][0]
-        return f"{_operand_text(e.left, level)} {symbol} {_operand_text(e.right, level + 1)}"
     if t in _CALLS:
         name, kinds = _CALLS[t]
         args = [
@@ -657,4 +670,19 @@ def format_expr(e: Expr) -> str:
             for field, kind in zip(e.__match_args__, kinds)
         ]
         return f"{name}({','.join(args)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    if t not in _LEVEL:
+        raise TypeError(f"not an expression node: {e!r}")
+    spine = []
+    while _LEVEL.get(type(e), len(_INFIX)) < len(_INFIX):  # an infix node
+        spine.append(e)
+        e = e.left
+    opens, parts = 0, [format_expr(e)]
+    for node in reversed(spine):
+        level = _LEVEL[type(node)]
+        if _LEVEL.get(type(e), len(_INFIX) + 1) < level:
+            # the parenthesis wraps all the text so far, which starts the result
+            opens += 1
+            parts.append(")")
+        parts.append(f" {_INFIX[level][0]} {_operand_text(node.right, level + 1)}")
+        e = node
+    return "(" * opens + "".join(parts)

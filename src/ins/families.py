@@ -19,9 +19,11 @@ The bimodal family plants a known violation: two separated unit bumps whose
 connecting segments dip to zero between the modes.
 
 Every family is written once, as a ``batch`` oracle over a ``(k, n)`` array
-of points whose endpoints are snapped to the 2^-53 lattice as
-``UnitInterval`` snaps them; its scalar ``membership`` is the one-row view
-of that oracle.
+of points that returns its raw formulas; its scalar ``membership`` is the
+one-row view of that oracle. The :class:`FunctionalINS` constructor checks
+and snaps every value, as it does for any user oracle. The formulas run
+with numpy's overflow warning off: a distance or ratio that overflows to
+inf is the intended limit, a bump of 0.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import Callable
 import numpy as np
 
 from .convexity import FunctionalINS
-from .core import _snap_array
 from .errors import InvalidDomain, UnknownFamily
 
 __all__ = [
@@ -55,12 +56,13 @@ def _bump_set(bump: Bump, dimension: int, alpha: float, beta: float,
     scales = np.array([alpha, 1.0, beta, 1.0, gamma, 1.0])
 
     def batch(points: np.ndarray) -> np.ndarray:
-        b = bump(np.asarray(points, dtype=np.float64))
+        with np.errstate(over="ignore"):
+            b = bump(np.asarray(points, dtype=np.float64))
         out = np.empty((len(b), 6))
         out[:, :2] = b[:, None]
         out[:, 2:] = (1.0 - b)[:, None]
         out *= scales  # [alpha*b, b, beta*(1-b), 1-b, gamma*(1-b), 1-b]
-        return _snap_array(out)
+        return out
 
     return FunctionalINS(dimension, batch=batch)
 
@@ -126,7 +128,8 @@ def bimodal(separation: float = 4.0, dimension: int = 1) -> FunctionalINS:
     def batch(points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=np.float64)
         out = np.zeros((len(p), 6))
-        out[:, 0] = out[:, 1] = _snap_array(np.minimum(1.0, right(p) + left(p)))
+        with np.errstate(over="ignore"):
+            out[:, 0] = out[:, 1] = np.minimum(1.0, right(p) + left(p))
         return out
 
     return FunctionalINS(dimension, batch=batch)

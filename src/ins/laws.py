@@ -7,9 +7,10 @@ addition or products are compared within a caller-supplied tolerance
 Trials run stacked, a chunk at a time. First every trial's operands are drawn
 in trial order from one seeded PCG64 stream; no law draws conditionally, so
 this is the stream a trial-at-a-time loop consumes. Then the chunk's rows are
-stacked into ``(rows, 6)`` arrays, validated and snapped once as
-``DiscreteINS.from_array`` would, and each endpoint kernel of :mod:`ins.core`
-runs once per stack. A failure reports the smallest failing trial, its first
+stacked into ``(rows, 6)`` arrays and each endpoint kernel of :mod:`ins.core`
+runs once per stack. The stacks skip ``DiscreteINS.from_array``'s check:
+sorted uniform draws and their min/max bounds are valid and on its lattice
+by construction. A failure reports the smallest failing trial, its first
 failing sub-check and smallest failing element with both sides' endpoints.
 """
 
@@ -22,9 +23,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import core
-from .core import DiscreteINS, _validated
+from .core import DiscreteINS
 from .errors import UnknownLaw
-from .sampling import _check_run, _nested_rows, _sorted_pairs, random_universe, rng_from_seed
+from .sampling import _check_run, random_universe, rng_from_seed
+# stacked random sets, and common supersets (or subsets) of stacked operands
+from .sampling import _nested_rows as _bound, _sorted_pairs as _set
 
 # not called here, but tracing tools look the samplers up on this module
 from .sampling import random_set, random_subset, random_superset  # noqa: F401
@@ -112,16 +115,6 @@ class _Chunk:
             return None
         trial, item, message = min(self._fails, key=lambda fail: fail[0])
         return self.first + trial, message(item) if callable(message) else message
-
-
-def _set(draws: np.ndarray) -> np.ndarray:
-    """Stacked random sets from their uniform draws, as ``random_set``."""
-    return _validated(_sorted_pairs(draws))
-
-
-def _bound(draws: np.ndarray, *operands: np.ndarray, superset: bool) -> np.ndarray:
-    """Stacked common supersets (or subsets) of the operands."""
-    return _validated(_nested_rows(draws, *operands, superset=superset))
 
 
 def _check_commutativity(chunk, draws, others, tol):
@@ -300,7 +293,7 @@ def _check_containment_order(chunk, draws, _, tol):
     chunk.flag("containment is not reflexive", ~contained(a, a))
     chunk.flag("containment is not transitive along C <= B <= A", ~contained(c, a))
     chunk.flag("mutual containment without equality", contained(a, b) & ~equal(a, b))
-    same = _validated(a.copy())
+    same = a.copy()
     chunk.flag("identical sets not mutually contained and equal",
                ~(contained(a, same) & contained(same, a) & equal(a, same)))
 
@@ -318,7 +311,8 @@ class _Law(NamedTuple):
     takes the chunk, the draws as ``(blocks, rows, 6)``, the tails and the
     tolerance, and flags its sub-checks on the chunk in the order one trial
     evaluates them. ``rows`` gives the rows a trial adds to its widest
-    stacked array."""
+    stacked array. The draws are not checked: endpoint data is checked only
+    where it enters, in ``from_array`` and ``FunctionalINS``."""
 
     check: Callable
     blocks: int

@@ -28,6 +28,7 @@ from ins import (
     triangular,
 )
 from ins.convexity import _endpoints
+from ins.core import UnitInterval
 from ins.families import random_convex, random_strongly_convex
 from ins.sampling import rng_from_seed
 
@@ -230,6 +231,20 @@ def test_bad_batch_raises_invalid_interval(kind, strict):
     checker = check_strongly_convex if strict else check_convex
     with pytest.raises(InvalidInterval):
         checker(target, Box(((-1.0, 1.0),)), trials=20, seed=0)
+
+
+@pytest.mark.parametrize("kind", list(BAD_BATCHES))
+def test_batch_view_is_checked(kind):
+    # the constructor wraps the oracle, so its batch refuses what a scan would
+    with pytest.raises(InvalidInterval):
+        FunctionalINS(1, batch=BAD_BATCHES[kind]).batch(np.zeros((3, 1)))
+
+
+def test_batch_view_is_snapped():
+    snapped = UnitInterval(0.1, 0.1).lo
+    assert snapped != 0.1  # 0.1 lies off the 2^-53 lattice
+    rows = FunctionalINS(1, batch=lambda p: np.full((len(p), 6), 0.1)).batch(np.zeros((2, 1)))
+    assert rows.tolist() == [[snapped] * 6] * 2
 
 
 @pytest.mark.parametrize("bad", [_bad_value(0, 1, 1.5), _bad_value(0, 4, -0.25)],

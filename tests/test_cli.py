@@ -5,10 +5,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ins.core
 from ins.cli import main
+from ins.laws import run_law
 
 EXPECTED_UNION_BLOCK = (
     "set result\n"
@@ -121,6 +124,15 @@ class TestEval:
         assert first == second
 
 
+    def test_long_operator_chain(self, ex1_path):
+        # evaluate walked the chain by recursion: 400 operators ended in a
+        # RecursionError traceback
+        text = " | ".join(["A"] * (10**5 + 1))
+        code, out, err = run_cli("eval", "--sets", str(ex1_path), "--expr", text)
+        assert (code, err) == (0, "")
+        assert out == run_cli("eval", "--sets", str(ex1_path), "--expr", "A")[1]
+
+
 class TestCheck:
     def test_single_law(self):
         code, out, _ = run_cli("check", "--law", "demorgan", "--trials", "1000", "--seed", "7")
@@ -168,6 +180,18 @@ class TestCheck:
         a = run_cli("check", "--law", "absorption", "--trials", "200", "--seed", "9")
         b = run_cli("check", "--law", "absorption", "--trials", "200", "--seed", "9")
         assert a == b
+
+
+    def test_failed_law_report(self, monkeypatch):
+        # a union taking the min on every endpoint breaks absorption
+        monkeypatch.setattr(ins.core, "_union", lambda da, db: np.minimum(da, db))
+        result = run_law("absorption", trials=30, seed=4)
+        code, out, _ = run_cli("check", "--law", "absorption", "--trials", "30", "--seed", "4")
+        assert code == 1 and not result.passed
+        head, *body = out.splitlines()
+        assert head == f"law absorption: FAIL (trial {result.failed_trial} of 30, seed 4)"
+        assert body == ["  " + line for line in result.counterexample.splitlines()]
+        assert body[0] == "  A | (A & B) != A"
 
 
 class TestCheckNumbers:
@@ -231,6 +255,11 @@ class TestConvex:
         code, _, _ = run_cli("convex", "--family", "triangular(0,1)", "--box", "2:-2")
         assert code == 2
 
+    def test_non_numeric_box(self):
+        code, out, err = run_cli("convex", "--family", "triangular(0,1)", "--box", "-1:1,a:b")
+        assert (code, out) == (2, "")
+        assert err == "ins: error: box range 'a:b' is not numeric\n"
+
     def test_bad_trials(self):
         code, _, _ = run_cli("convex", "--family", "triangular(0,1)", "--trials", "0")
         assert code == 2
@@ -255,6 +284,8 @@ class TestConvex:
         ("--family", "triangular(0,nan)"),
         ("--family", "gaussian(inf)"),
         ("--box", "-1e308:1e308"),
+        ("--lambda-grid", "1001"),
+        ("--lambda-grid", "100000000"),
     ])
     def test_bad_numbers_are_usage_errors(self, flags):
         # each used to pass silently, print a traceback or exit 1
@@ -262,6 +293,20 @@ class TestConvex:
         assert code == 2 and out == ""
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith(("ins convex: error: argument", "ins: error:"))
+
+
+    @pytest.mark.parametrize("flags", [
+        ("--family", "gaussian(0,1e-320)"),
+        ("--family", "gaussian(0,1e-300)"),
+        ("--family", "triangular(1e308,1e-308)"),
+        ("--family", "gaussian(0,1)", "--box", "-1e200:1e200,-1e200:1e200"),
+    ])
+    def test_extreme_parameters_print_no_warning(self, flags):
+        # the bumps overflow to inf on the way to 0; numpy used to print a
+        # RuntimeWarning for each
+        code, out, err = run_cli("convex", "--trials", "50", *flags)
+        assert (code, err) == (0, "")
+        assert "verdict: no-violation-found" in out
 
 
 class TestEndToEnd:
@@ -308,9 +353,35 @@ SET_BYTES = st.one_of(
 STDERR_LINE = re.compile(r"ins: (?:.+:\d+:\d+: [A-Za-z]+: |error: ).*")
 
 
-def _assert_clean_exit(argv):
+NUMBERS = ["0", "1", "-1", "0.5", "4", "1e-320", "1e-300", "1e-308", "1e200", "-1e200", "1e308",
+           "-1e308", "1.7976931348623157e308", "nan", "inf", "-inf", "x", ""]
+FAMILY_SPEC = st.one_of(
+    st.tuples(st.sampled_from(["triangular", "gaussian", "bimodal", "sombrero"]),
+              st.lists(st.sampled_from(NUMBERS), max_size=3).map(",".join)).map("{0[0]}({0[1]})".format),
+    st.lists(st.sampled_from(list("(),.-01e ") + ["gaussian", "bimodal"]), max_size=8).map("".join),
+)
+BOX_TEXT = st.one_of(
+    st.lists(st.tuples(st.sampled_from(NUMBERS), st.sampled_from(NUMBERS)).map(":".join),
+             min_size=1, max_size=3).map(",".join),
+    st.lists(st.sampled_from(list(":,-01e.x ")), max_size=10).map("".join),
+)
+# --trials stays small; the others may be absent
+CONVEX_FLAGS = st.fixed_dictionaries({
+    "--trials": st.sampled_from(["1", "2", "5", "0", "-1", "x"]),
+    "--lambda-grid": st.none() | st.sampled_from(["1", "2", "3", "1000", "1001", "100000000", "x"]),
+    "--seed": st.none() | st.sampled_from(["0", "7", "-1", "1e3"]),
+    "--tol": st.none() | st.sampled_from(["0", "1e-9", "0.5", "1e308", "nan", "inf", "-1"]),
+})
+
+
+def _assert_clean_exit(argv, usage_prog=None):
     code, _, err = run_cli(*argv)
     assert code in (0, 1, 2)
+    if usage_prog and err.startswith("usage: "):
+        # argparse refused a flag value: its usage text, then one error line
+        assert code == 2
+        assert re.fullmatch(f"usage: {usage_prog} .*\n{usage_prog}: error: argument .*\n", err, re.S)
+        return
     lines = err.split("\n")
     assert lines.pop() == ""  # empty, or whole lines
     for line in lines:
@@ -337,3 +408,15 @@ class TestFuzz:
         path.write_bytes(raw)
         _assert_clean_exit(["eval", "--sets", str(path), "--expr", "A"])
         _assert_clean_exit(["check", "--law", "involution", "--trials", "1", "--sets", str(path)])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(FAMILY_SPEC, st.none() | FAMILY_SPEC, BOX_TEXT, st.booleans(), CONVEX_FLAGS)
+    @example("gaussian(0,1)", None, "-2:2", False, {"--trials": "1", "--lambda-grid": "100000000"})
+    @example("gaussian(0,1e-320)", None, "-2:2", False, {"--trials": "5"})
+    @example("triangular(1e308,1e-308)", "gaussian(0,1e-300)", "-2:2", True, {"--trials": "5"})
+    @example("gaussian(0,1)", None, "-1e200:1e200,-1e200:1e200", False, {"--trials": "5"})
+    def test_convex_flags(self, family, other, box, strict, flags):
+        argv = ["convex", f"--family={family}", f"--box={box}"]
+        argv += [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+        argv += [f"--intersect={other}"] * (other is not None) + ["--strict"] * strict
+        _assert_clean_exit(argv, usage_prog="ins convex")

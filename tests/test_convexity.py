@@ -20,7 +20,7 @@ from ins import (
     parse_family,
     triangular,
 )
-from ins.convexity import COMPONENTS, _endpoints
+from ins.convexity import COMPONENTS, MAX_LAMBDA_GRID, _endpoints
 from ins.families import random_convex, random_strongly_convex
 from ins.sampling import rng_from_seed
 
@@ -288,6 +288,28 @@ class TestValidation:
                      lambda: gaussian(float("nan"), 1), lambda: bimodal(float("inf"))):
             with pytest.raises(InvalidDomain):
                 make()
+
+
+    def test_lambda_grid_limit(self):
+        box = Box(((-1.0, 1.0),))
+        report = check_convex(triangular(0, 1), box, trials=2, lambda_grid=MAX_LAMBDA_GRID)
+        assert report == ConvexityReport(NO_VIOLATION, 2 * MAX_LAMBDA_GRID)
+        for checker in (check_convex, check_strongly_convex):
+            for grid in (MAX_LAMBDA_GRID + 1, 10**8):
+                with pytest.raises(InvalidParameter):
+                    checker(triangular(0, 1), box, lambda_grid=grid)
+
+    @pytest.mark.parametrize("fset, point", [
+        (gaussian(0, 1e-320), [0.5]),
+        (gaussian(0, 1e-300), [-0.5]),
+        (triangular(1e308, 1e-308), [-1.0]),
+        (gaussian(0, 1, dimension=2), [1e200, -1e200]),
+    ])
+    def test_overflow_is_a_zero_bump(self, fset, point):
+        # the formulas overflow to inf on the way to a bump of 0; with
+        # RuntimeWarning an error, a warning fails this test
+        rows = fset.batch(np.array([point]))
+        assert rows.tolist() == [[0.0, 0.0, 0.5, 1.0, 0.5, 1.0]]
 
 
 class TestMultiDimensional:

@@ -87,6 +87,26 @@ class TestDiscreteConstruction:
         with pytest.raises(InvalidInterval):
             DiscreteINS.from_array(("x1",), np.array([[0.0, 1.5, 0, 1, 0, 1.0]]))
 
+    @pytest.mark.parametrize("data", [np.zeros((1, 5)), np.zeros(6), np.zeros((1, 1, 6))],
+                             ids=["five-columns", "flat", "three-axes"])
+    def test_from_array_refuses_wrong_shape(self, data):
+        with pytest.raises(InvalidInterval, match=r"shape \(n, 6\)"):
+            DiscreteINS.from_array(("x1",), data)
+
+    def test_from_array_refuses_label_count(self):
+        with pytest.raises(ValueError, match="label count does not match"):
+            DiscreteINS.from_array(("x1", "x2"), [[0.0, 0.0, 1.0, 1.0, 1.0, 1.0]])
+
+    @pytest.mark.parametrize("data", [
+        [["0", "x", "0", "1", "0", "1"]],
+        [[0, 0, 1, 1, 1], [0, 0, 1, 1, 1, 1]],
+        [[{}, 0, 1, 1, 1, 1]],
+    ], ids=["not-a-number", "ragged", "not-a-float"])
+    def test_from_array_refuses_non_numeric_data(self, data):
+        # numpy's own conversion error used to escape as a bare ValueError
+        with pytest.raises(InvalidInterval, match="endpoints must be numeric"):
+            DiscreteINS.from_array(("x1",) * len(data), data)
+
     def test_paired_labels(self):
         p = PairedINS([(("a", "b"), EMPTY_VALUE)])
         assert p.universe == (("a", "b"),)

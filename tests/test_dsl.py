@@ -9,9 +9,12 @@ from dsl_tools import random_eval_tree, random_expr_tree, twin_evaluate
 from ins import (
     DiscreteINS,
     SourceError,
+    add,
     cartesian_product,
+    difference,
     dsl,
     equals,
+    intersect,
     nv,
     union,
 )
@@ -24,6 +27,7 @@ from ins.dsl import (
     Div,
     Empty,
     Equal,
+    Expr,
     FalseFav,
     Ident,
     Intersect,
@@ -51,6 +55,20 @@ def err(callable_, *args):
 @pytest.fixture
 def env():
     return parse_sets(gd.EX1_TEXT)
+
+
+def assert_same_tree(a, b):
+    """``a == b`` for trees of any depth, walked in a loop."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        assert type(x) is type(y)
+        for name in x.__match_args__:
+            u, v = getattr(x, name), getattr(y, name)
+            if isinstance(u, Expr):
+                stack.append((u, v))
+            else:
+                assert u == v
 
 
 class TestParseExpr:
@@ -175,6 +193,15 @@ class TestParseErrors:
         assert format_expr(parse_expr(text)) == "A | A & A"
         e = err(parse_expr, "subset(" + "~" * 100 + "A, A)")
         assert (e.kind, e.column) == ("ParseError", 7 + 100)
+
+    def test_chain_of_100000_operators_round_trips(self):
+        # format_expr rendered by recursion and failed on a chain of 1000
+        tree = Ident("A")
+        for _ in range(10**5):
+            tree = Union(tree, Ident("A"))
+        text = format_expr(tree)
+        assert text == " | ".join(["A"] * (10**5 + 1))
+        assert_same_tree(parse_expr(text), tree)
 
     def test_deep_input_is_refused_not_crashed(self):
         for text in ("(" * 5000 + "A", "~" * 5000 + "A", "tf(" * 5000):
@@ -433,6 +460,23 @@ class TestEvaluate:
         bad_env["D"] = DiscreteINS([("y1", nv(0, 1, 0, 1, 0, 1))])
         e = err(evaluate, parse_expr("A | D"), bad_env)
         assert e.kind == "UniverseMismatch" and (e.line, e.column) == (1, 3)
+
+    def test_long_mixed_chains(self, env):
+        # a left-deep tree of 20000 operators, in runs of 400 alike; a run
+        # of | after + and of & after \ parenthesizes its left operand, 24
+        # times in all, which the parser's nesting limit allows. evaluate and
+        # format_expr walk the chain in a loop, as the parser reads it
+        ops = ((Intersect, intersect), (Add, add), (Union, union), (Difference, difference))
+        tree, want = Ident("A"), env["A"]
+        for i in range(20000):
+            node_type, op = ops[i // 400 % 4]
+            tree, want = node_type(tree, Ident("B")), op(want, env["B"])
+        assert equals(evaluate(tree, env), want)
+        text = format_expr(tree)
+        assert len(text) - len(text.lstrip("(")) == 24
+        assert_same_tree(parse_expr(text), tree)
+        e = err(evaluate, parse_expr("A" + " | A" * 20000 + " | C"), env)
+        assert (e.kind, e.column) == ("UnknownIdentifier", 4 * 20000 + 5)
 
     def test_paired_operand_rejected(self, env):
         e = err(evaluate, parse_expr("cart(A,B) | A"), env)
