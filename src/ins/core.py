@@ -78,7 +78,10 @@ def _snap(x: float) -> float:
 
 def _snap_array(data: np.ndarray) -> np.ndarray:
     """Snap a float64 array in place, elementwise equal to :func:`_snap`."""
-    return np.divide(np.round(data * _LATTICE), _LATTICE, out=data)
+    scaled = data * _LATTICE
+    np.round(scaled, out=scaled)
+    scaled += 0.0  # -0.0 becomes +0.0, as with Python's round()
+    return np.divide(scaled, _LATTICE, out=data)
 
 
 @dataclass(frozen=True, slots=True)
@@ -377,7 +380,8 @@ def _scalar_mul(d: np.ndarray, factor) -> np.ndarray:
 
 
 def _scalar_div(d: np.ndarray, divisor) -> np.ndarray:
-    out = np.divide(d, divisor)
+    with np.errstate(over="ignore"):  # a quotient past the largest float saturates
+        out = np.divide(d, divisor)
     return np.minimum(out, 1.0, out=out)
 
 
@@ -472,16 +476,18 @@ def _check_scalar(factor: float) -> float:
     factor = float(factor)
     if math.isnan(factor) or factor <= 0.0:
         raise NonPositiveScalar(f"scalar factor must be > 0, got {factor}")
+    if math.isinf(factor):
+        raise NonPositiveScalar(f"scalar factor must be finite, got {factor}")
     return factor
 
 
 def scalar_mul(factor: float, a: _BaseSet) -> _BaseSet:
-    """Scale every endpoint by ``factor`` > 0, saturating at 1."""
+    """Scale every endpoint by a finite ``factor`` > 0, saturating at 1."""
     return _like(a, _scalar_mul(a._data, _check_scalar(factor)))
 
 
 def scalar_div(a: _BaseSet, divisor: float) -> _BaseSet:
-    """Divide every endpoint by ``divisor`` > 0, saturating at 1."""
+    """Divide every endpoint by a finite ``divisor`` > 0, saturating at 1."""
     return _like(a, _scalar_div(a._data, _check_scalar(divisor)))
 
 

@@ -12,15 +12,19 @@ tightest first: ``~`` (complement), ``&`` (intersection), ``|`` (union),
 ``\\`` (difference), ``+`` (addition); all binary operators associate left.
 Named functions: ``tf``/``ff`` (truth/false-favorite), ``cart``/``prod``
 (cartesian and elementwise product), ``scale(k, e)`` and ``div(e, k)`` with a
-positive ASCII decimal literal ``k``. The predicates ``subset``, ``eq`` and
-``empty`` may only appear as the root of an expression.
+positive ASCII decimal literal ``k`` that is finite as a float. The predicates
+``subset``, ``eq`` and ``empty`` may only appear as the root of an expression.
 
-Every diagnostic is a :class:`~ins.errors.SourceError` carrying a 1-based
-line and column.
+One regex splits the text into tokens. The parser reads operator chains by
+precedence climbing and recurses only where a ``(``, ``~`` or call opens a
+nesting level. :func:`evaluate` and :func:`format_expr` keep their own stack,
+so trees of any depth and shape evaluate and print. Every diagnostic is a
+:class:`~ins.errors.SourceError` carrying a 1-based line and column.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Union as _UnionT
@@ -187,43 +191,29 @@ class _Token:
     col: int
 
 
+# One alternative per token shape, tried in this order at each offset. An
+# ``ident`` word (letters, digits, '_') must start with a letter; a word that
+# does not, and any ``other`` character, is a LexError.
+_TOKEN_RE = re.compile(
+    rf"(?P<newline>\n)|(?P<blanks>[ \t\r]+)|(?P<number>{_NUM_RE.pattern})|(?P<ident>\w+)"
+    rf"|(?P<punct>[{re.escape(_PUNCT)}])|(?P<other>.)",
+    re.DOTALL,
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if c.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        number = _NUM_RE.match(text, i)
-        if number:
-            tokens.append(_Token("number", number.group(), line, start_col))
-            col += number.end() - i
-            i = number.end()
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(c, c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise SourceError(LEX_ERROR, line, col, f"unexpected character {c!r}")
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0  # the current line and the offset it starts at
+    for m in _TOKEN_RE.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind != "blanks":
+            col = m.start() - line_start + 1
+            if kind == "other" or kind == "ident" and not word[0].isalpha():
+                raise SourceError(LEX_ERROR, line, col, f"unexpected character {word[0]!r}")
+            tokens.append(_Token(word if kind == "punct" else kind, word, line, col))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -232,6 +222,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 # Infix operators, loosest first; all associate left. ``~`` binds tighter.
 _INFIX = (("+", Add), ("\\", Difference), ("|", Union), ("&", Intersect))
+# infix symbol -> its level, the index in _INFIX
+_BINDING = {symbol: level for level, (symbol, _) in enumerate(_INFIX)}
 
 # name -> (node type, argument kinds in field order); a kind is Expr for a
 # subexpression or float for a positive decimal literal
@@ -272,6 +264,8 @@ _OPS = {
 _BINARY_OPS = _UNARY_OPS = _OPS
 # node type -> argument kinds in field order, for every operator node
 _KINDS = {t: _CALLS[t][1] if t in _CALLS else (Expr,) * len(t.__match_args__) for t in _OPS}
+# node type -> (field name, kind) of each argument, last field first
+_ARGS = {t: tuple(zip(t.__match_args__, kinds))[::-1] for t, kinds in _KINDS.items()}
 
 
 # --------------------------------------------------------------------------
@@ -329,16 +323,21 @@ class _Parser:
             raise self._error(tok, f"expression nests deeper than {_MAX_DEPTH} levels")
         return depth + 1
 
-    def _expression(self, depth: int, level: int = 0) -> Expr:
-        """A chain of ``_INFIX[level]`` operators, or of the tighter levels."""
-        if level == len(_INFIX):
-            return self._unary(depth)
-        symbol, node_type = _INFIX[level]
-        node = self._expression(depth, level + 1)
-        while self._peek().kind == symbol:
-            tok = self._advance()
-            node = node_type(node, self._expression(depth, level + 1), line=tok.line, col=tok.col)
-        return node
+    def _expression(self, depth: int) -> Expr:
+        """A chain of infix operators, by precedence climbing: ``pending``
+        holds each left operand whose operator waits for a right operand that
+        binds tighter."""
+        pending = []  # (left operand, operator token, level), loosest first
+        node = self._unary(depth)
+        while True:
+            level = _BINDING.get(self._peek().kind, -1)
+            while pending and pending[-1][2] >= level:
+                left, tok, left_level = pending.pop()
+                node = _INFIX[left_level][1](left, node, line=tok.line, col=tok.col)
+            if level < 0:
+                return node
+            pending.append((node, self._advance(), level))
+            node = self._unary(depth)
 
     def _unary(self, depth: int) -> Expr:
         tok = self._peek()
@@ -387,6 +386,11 @@ class _Parser:
                 NON_POSITIVE_SCALAR, tok.line, tok.col,
                 f"scalar literal must be > 0, got {tok.text}",
             )
+        if value == math.inf:
+            raise SourceError(
+                NON_POSITIVE_SCALAR, tok.line, tok.col,
+                "scalar literal overflows to infinity",
+            )
         return value
 
 
@@ -404,40 +408,41 @@ def evaluate(expr: Expr, env: Environment) -> EvalResult:
 
     Predicates yield booleans, ``cart`` yields a set over a product universe,
     everything else a discrete set. Errors carry the offending node's source
-    position. A node's operands evaluate in field order; the first operands
-    down a chain (the left spine of ``A | B | C``) are walked in a loop, so
-    chains of any length evaluate.
+    position. A node's operands evaluate in field order, and each is checked
+    as soon as it is made. The walk keeps its own stack, so trees of any depth
+    and shape evaluate.
     """
-    spine = []
-    while _KINDS.get(type(expr), (float,))[0] is Expr:
-        spine.append(expr)
-        expr = getattr(expr, expr.__match_args__[0])
-    if type(expr) is Ident:
-        try:
-            value = env[expr.name]
-        except KeyError:
-            raise _err(UNKNOWN_IDENTIFIER, expr, f"unknown set {expr.name!r}") from None
-    elif type(expr) in _KINDS:
-        value = _apply(expr, env, [])
-    else:
-        raise TypeError(f"not an expression node: {expr!r}")
-    for node in reversed(spine):
-        value = _apply(node, env, [_set_operand(value, node)])
-    return value
-
-
-def _apply(node: Expr, env: Environment, args: list) -> EvalResult:
-    """``node``'s operator on ``args`` and its remaining fields, in order."""
-    kinds = _KINDS[type(node)]
-    for name, kind in zip(node.__match_args__[len(args):], kinds[len(args):]):
-        value = getattr(node, name)
-        args.append(value if kind is float else _set_operand(evaluate(value, env), node))
-    try:
-        return _OPS[type(node)](*args)
-    except UniverseMismatch as exc:
-        raise _err(UNIVERSE_MISMATCH, node, str(exc)) from None
-    except NonPositiveScalar as exc:
-        raise _err(NON_POSITIVE_SCALAR, node, str(exc)) from None
+    values: list = []  # operands made and not yet used, in field order
+    todo: list = [(expr, None, Expr)]  # (node or literal, parent, step), next last
+    while todo:
+        item, parent, step = todo.pop()
+        if step is float:  # a literal operand
+            values.append(item)
+            continue
+        t = type(item)
+        if step is Expr and t in _KINDS:  # its operands first, then itself
+            todo.append((item, parent, None))
+            todo += [(getattr(item, name), item, kind) for name, kind in _ARGS[t]]
+            continue
+        if step is None:  # its operands are the last values
+            n = len(_KINDS[t])
+            args = values[-n:]
+            del values[-n:]
+            try:
+                value = _OPS[t](*args)
+            except UniverseMismatch as exc:
+                raise _err(UNIVERSE_MISMATCH, item, str(exc)) from None
+            except NonPositiveScalar as exc:
+                raise _err(NON_POSITIVE_SCALAR, item, str(exc)) from None
+        elif t is Ident:
+            try:
+                value = env[item.name]
+            except KeyError:
+                raise _err(UNKNOWN_IDENTIFIER, item, f"unknown set {item.name!r}") from None
+        else:
+            raise TypeError(f"not an expression node: {item!r}")
+        values.append(value if parent is None else _set_operand(value, parent))
+    return values[0]
 
 
 def _err(kind: str, node: Expr, message: str) -> SourceError:
@@ -647,42 +652,41 @@ _LEVEL = {node_type: level for level, (_, node_type) in enumerate(_INFIX)}
 _LEVEL[Complement] = len(_INFIX)
 
 
-def _operand_text(e: Expr, level: int) -> str:
-    """``e`` rendered, in parentheses unless it binds at least at ``level``."""
-    text = format_expr(e)
-    return text if _LEVEL.get(type(e), len(_INFIX) + 1) >= level else f"({text})"
+# node type -> the pieces it prints, in order: text, or (field, the least
+# level that field's node prints at without parentheses; float for a literal)
+_PIECES = {t: (("left", level), f" {symbol} ", ("right", level + 1))
+           for level, (symbol, t) in enumerate(_INFIX)}
+_PIECES[Complement] = ("~", ("operand", _LEVEL[Complement]))
+_PIECES |= {  # a call's arguments, each after a comma but the first
+    t: (f"{name}(", *[piece for f, kind in zip(t.__match_args__, kinds)
+                      for piece in (",", (f, 0 if kind is Expr else float))][1:], ")")
+    for t, (name, kinds) in _CALLS.items()
+}
 
 
 def format_expr(e: Expr) -> str:
     """Render an expression with minimal parentheses; reparses to an equal
-    tree. The left spine of an operator chain is walked in a loop, so chains
-    of any length render."""
-    t = type(e)
-    if t is Ident:
-        return e.name
-    if t is Complement:
-        return "~" + _operand_text(e.operand, _LEVEL[t])
-    if t in _CALLS:
-        name, kinds = _CALLS[t]
-        args = [
-            _fmt_number(getattr(e, field), 17) if kind is float
-            else format_expr(getattr(e, field))
-            for field, kind in zip(e.__match_args__, kinds)
-        ]
-        return f"{name}({','.join(args)})"
-    if t not in _LEVEL:
-        raise TypeError(f"not an expression node: {e!r}")
-    spine = []
-    while _LEVEL.get(type(e), len(_INFIX)) < len(_INFIX):  # an infix node
-        spine.append(e)
-        e = e.left
-    opens, parts = 0, [format_expr(e)]
-    for node in reversed(spine):
-        level = _LEVEL[type(node)]
-        if _LEVEL.get(type(e), len(_INFIX) + 1) < level:
-            # the parenthesis wraps all the text so far, which starts the result
-            opens += 1
-            parts.append(")")
-        parts.append(f" {_INFIX[level][0]} {_operand_text(node.right, level + 1)}")
-        e = node
-    return "(" * opens + "".join(parts)
+    tree. The walk keeps its own stack, so trees of any depth and shape
+    render."""
+    out: list[str] = []
+    todo: list = [(e, 0)]  # text, or (node, least level it prints at), next last
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, least = item
+        t = type(node)
+        if least is float:
+            out.append(_fmt_number(node, 17))
+        elif t is Ident:
+            out.append(node.name)
+        elif t not in _PIECES:
+            raise TypeError(f"not an expression node: {node!r}")
+        else:
+            if _LEVEL.get(t, len(_INFIX) + 1) < least:
+                out.append("(")
+                todo.append(")")
+            todo += [p if type(p) is str else (getattr(node, p[0]), p[1])
+                     for p in reversed(_PIECES[t])]
+    return "".join(out)

@@ -16,7 +16,7 @@ class UniverseMismatch(InsError, ValueError):
 
 
 class NonPositiveScalar(InsError, ValueError):
-    """Scalar multiplication/division requires a factor > 0."""
+    """Scalar multiplication/division requires a finite factor > 0."""
 
 
 class DimensionMismatch(InsError, ValueError):

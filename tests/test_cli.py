@@ -338,9 +338,12 @@ SET_FILE = (
     "set A\n  x1 : [0.2,0.4] [0.3,0.5] [0.3,0.5]\n  x2 : [0,1] [0,0] [0.5,0.5]\nend\n"
     "set B\n  x2 : [0.1,0.2] [0.2,0.3] [0.3,0.4]\n  x1 : [1,1] [0,1] [0,0]\nend\n"
 )
+# a literal past the largest float, and one whose quotients overflow
+HUGE, TINY = "1" + "0" * 400, "0." + "0" * 322 + "5"
 EXPR_TEXT = st.lists(
     st.sampled_from(list("AB()|&\\+~,.0123456789 \n?") + ["tf", "cart", "scale", "div",
-                                                           "subset", "eq", "empty", "\u00b2"]),
+                                                           "subset", "eq", "empty", "\u00b2",
+                                                           HUGE, TINY]),
     max_size=20,
 ).map("".join)
 SET_LINES = SET_FILE.split("\n") + ["\xff", "set A", "end", ":", "  x1 : [0.5,0.2] [0,1] [0,1]"]
@@ -351,6 +354,9 @@ SET_BYTES = st.one_of(
 )
 # one stderr line: a positioned diagnostic, or a usage error
 STDERR_LINE = re.compile(r"ins: (?:.+:\d+:\d+: [A-Za-z]+: |error: ).*")
+# an endpoint that is not a number: nan or inf in a set file, NaN or
+# Infinity in JSON
+NON_NUMBER = re.compile(r"[\[,] ?-?(?:nan|inf|NaN|Infinity)\b")
 
 
 NUMBERS = ["0", "1", "-1", "0.5", "4", "1e-320", "1e-300", "1e-308", "1e200", "-1e200", "1e308",
@@ -375,8 +381,9 @@ CONVEX_FLAGS = st.fixed_dictionaries({
 
 
 def _assert_clean_exit(argv, usage_prog=None):
-    code, _, err = run_cli(*argv)
+    code, out, err = run_cli(*argv)
     assert code in (0, 1, 2)
+    assert not NON_NUMBER.search(out)
     if usage_prog and err.startswith("usage: "):
         # argparse refused a flag value: its usage text, then one error line
         assert code == 2
@@ -395,6 +402,8 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(EXPR_TEXT)
     @example("scale(\u00b2,A)")
+    @example(f"scale({HUGE},A)")
+    @example(f"div(A,{TINY})")
     def test_eval_expression(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "fuzz_sets.ins"
         path.write_text(SET_FILE, encoding="utf-8")

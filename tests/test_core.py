@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +33,8 @@ from ins import (
     union,
     universal_set,
 )
+from ins.convexity import FunctionalINS
+from ins.dsl import format_set, parse_sets
 
 
 class TestUnitInterval:
@@ -261,7 +265,8 @@ class TestArithmeticIdentities:
             assert prod[("z", label)] == set_b[label]
 
     def test_scalar_errors(self, set_a):
-        for bad in (0, -1, -0.5):
+        # an infinite factor would make NaN endpoints (inf * 0)
+        for bad in (0, -1, -0.5, math.inf, float("1" + "0" * 400)):
             with pytest.raises(NonPositiveScalar):
                 scalar_mul(bad, set_a)
             with pytest.raises(NonPositiveScalar):
@@ -275,3 +280,22 @@ class TestArithmeticIdentities:
 
     def test_involution_exact_on_file_style_values(self, set_a):
         assert complement(complement(set_a)) == set_a
+
+
+class TestNegativeZero:
+    """-0.0 is stored as +0.0, as UnitInterval stores it: a set file has no
+    '-0', so a set holding one would not round-trip through format_set."""
+
+    ROW = [-0.0, 0.5, -0.0, -0.0, 0.0, 1.0]
+
+    def test_from_array_stores_positive_zero(self):
+        s = DiscreteINS.from_array(["x"], [self.ROW])
+        assert not np.signbit(s.endpoints).any()
+        assert s == DiscreteINS([("x", nv(*self.ROW))])
+        text = format_set(s, name="A")
+        assert text == "set A\n  x : [0,0.5] [0,0] [0,1]\nend\n"
+        assert parse_sets(text)["A"] == s
+
+    def test_oracle_values_store_positive_zero(self):
+        f = FunctionalINS(1, batch=lambda points: np.tile(self.ROW, (len(points), 1)))
+        assert not np.signbit(f.batch(np.zeros((3, 1)))).any()

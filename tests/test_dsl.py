@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from ins import (
     SourceError,
     add,
     cartesian_product,
+    complement,
     difference,
     dsl,
     equals,
     intersect,
     nv,
+    scalar_div,
+    truth_favorite,
     union,
 )
 from ins.core import UnitInterval
@@ -55,6 +59,14 @@ def err(callable_, *args):
 @pytest.fixture
 def env():
     return parse_sets(gd.EX1_TEXT)
+
+
+def frames():
+    """The number of Python frames on the stack, this one included."""
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
 
 
 def assert_same_tree(a, b):
@@ -153,6 +165,13 @@ class TestParseErrors:
         assert e.kind == "NonPositiveScalar"
         e = err(parse_expr, "div(A, 0)")
         assert e.kind == "NonPositiveScalar" and e.column == 8
+        # a literal is finite as a float, or scale and div would make NaN
+        e = err(parse_expr, "scale(1" + "0" * 400 + ", A)")
+        assert (e.kind, e.line, e.column, e.message) == (
+            "NonPositiveScalar", 1, 7, "scalar literal overflows to infinity")
+        e = err(parse_expr, "div(A,\n " + "9" * 309 + ")")
+        assert (e.kind, e.line, e.column) == ("NonPositiveScalar", 2, 2)
+        assert parse_expr("div(A, " + "9" * 308 + ")") == Div(Ident("A"), float("9" * 308))
 
     def test_scale_requires_literal(self):
         e = err(parse_expr, "scale(A, B)")
@@ -163,18 +182,25 @@ class TestParseErrors:
         assert (e.line, e.column) == (2, 4)
 
     @pytest.mark.parametrize("opened, closed", [
-        ("(", ")"), ("~", ""), ("tf(", ")"), ("scale(2,", ")"), ("~(", ")"),
+        ("(", ")"), ("~", ""), ("tf(", ")"), ("scale(2,", ")"), ("~(", ")"), ("A + (", ")"),
     ])
     def test_nesting_limit(self, opened, closed):
         # one level per '(', '~' or call: 100 levels parse, 101 do not, and
-        # the error points at the token that opens level 101
+        # the error points at the token that opens level 101. The parser
+        # recurses only per level, at most 4 frames deep, so 100 levels fit
+        # in 450 frames above the caller's
         limit = dsl._MAX_DEPTH
         assert limit == 100
         per_level = 2 if opened == "~(" else 1
         count = limit // per_level
         text = opened * count + "A" + closed * count
-        tree = parse_expr(text)
-        assert format_expr(tree).count("A") == 1
+        frames_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames() + 450)
+        try:
+            tree = parse_expr(text)
+        finally:
+            sys.setrecursionlimit(frames_limit)
+        assert format_expr(tree).count("A") == text.count("A")
         text = opened * count + "~A" + closed * count
         e = err(parse_expr, text)
         assert (e.kind, e.line, e.column, e.message) == (
@@ -219,6 +245,32 @@ class TestParseErrors:
     def test_number_not_an_atom(self):
         e = err(parse_expr, "A | 5")
         assert e.kind == "ParseError" and e.column == 5
+
+    @pytest.mark.parametrize("text, outcome", [
+        ("_A", ("LexError", 1, 1, "unexpected character '_'")),
+        ("A_1", [("ident", "A_1", 1, 1), ("eof", "", 1, 4)]),
+        ("\u00b2A", ("LexError", 1, 1, "unexpected character '\u00b2'")),
+        ("A\u00b2", [("ident", "A\u00b2", 1, 1), ("eof", "", 1, 3)]),
+        ("\u00e9", [("ident", "\u00e9", 1, 1), ("eof", "", 1, 2)]),
+        ("e\u0301", ("LexError", 1, 2, "unexpected character '\u0301'")),
+        ("\u0663", ("LexError", 1, 1, "unexpected character '\u0663'")),
+        ("\u2167", ("LexError", 1, 1, "unexpected character '\u2167'")),
+        ("A\x0bB", ("LexError", 1, 2, "unexpected character '\\x0b'")),
+        ("A\xa0B", ("LexError", 1, 2, "unexpected character '\\xa0'")),
+        ("A\r\tB\n\t|\r(", [("ident", "A", 1, 1), ("ident", "B", 1, 4), ("|", "|", 2, 2),
+                             ("(", "(", 2, 4), ("eof", "", 2, 5)]),
+        ("x1 \t|\r\n  \u00e9_2", [("ident", "x1", 1, 1), ("|", "|", 1, 5),
+                                 ("ident", "\u00e9_2", 2, 3), ("eof", "", 2, 6)]),
+    ])
+    def test_tokens_of_non_ascii_text(self, text, outcome):
+        # an identifier starts with a letter (str.isalpha) and goes on with
+        # letters, digits and '_' (str.isalnum); '\r' and '\t' are one column
+        # each; any other character is a LexError
+        try:
+            got = [(t.kind, t.text, t.line, t.col) for t in dsl._tokenize(text)]
+        except SourceError as e:
+            got = (e.kind, e.line, e.column, e.message)
+        assert got == outcome
 
 
 class TestParseSets:
@@ -477,6 +529,47 @@ class TestEvaluate:
         assert_same_tree(parse_expr(text), tree)
         e = err(evaluate, parse_expr("A" + " | A" * 20000 + " | C"), env)
         assert (e.kind, e.column) == ("UnknownIdentifier", 4 * 20000 + 5)
+
+    def test_right_deep_tree(self, env):
+        # A \ (B \ (A \ ... A)), 10^4 deep: deeper than any parsed text, and
+        # deep along its right operands
+        tree, want, opens = Ident("A"), env["A"], []
+        for i in range(10**4):
+            name = "AB"[i % 2]
+            tree, want = Difference(Ident(name), tree), difference(env[name], want)
+            opens.append(f"{name} \\ (" if i else f"{name} \\ ")
+        assert evaluate(tree, env) == want
+        assert format_expr(tree) == "".join(reversed(opens)) + "A" + ")" * (10**4 - 1)
+        # operands are made and checked in field order, the left one first
+        unknown = Difference(tree, Ident("Z", line=2, col=4))
+        e = err(evaluate, Union(Cart(Ident("A"), Ident("B")), unknown, line=3, col=5), env)
+        assert (e.kind, e.line, e.column) == ("TypeMismatch", 3, 5)
+        e = err(evaluate, Difference(Ident("A"), unknown), env)
+        assert (e.kind, e.line, e.column) == ("UnknownIdentifier", 2, 4)
+
+    def test_unary_deep_tree(self, env):
+        # ~tf(div(~tf(div(... A ...,2)),2)), 10^4 deep
+        steps = (
+            (Complement, complement, "~", ""),
+            (TruthFav, truth_favorite, "tf(", ")"),
+            (lambda e: Div(e, 2.0), lambda s: scalar_div(s, 2.0), "div(", ",2)"),
+        )
+        tree, want, opens, closes = Ident("A"), env["A"], [], []
+        for i in range(10**4):
+            make, op, opened, closed = steps[i % 3]
+            tree, want = make(tree), op(want)
+            opens.append(opened)
+            closes.append(closed)
+        assert evaluate(tree, env) == want
+        assert format_expr(tree) == "".join(reversed(opens)) + "A" + "".join(closes)
+        assert evaluate(Empty(tree), env) is False
+
+    def test_division_past_the_largest_float_saturates(self, env):
+        # A / 5e-324 overflows to inf where A > 0, which saturates to 1 with
+        # no RuntimeWarning (pytest makes one an error)
+        got = evaluate(parse_expr("div(A, 0." + "0" * 322 + "5)"), env)
+        ones = np.where(env["A"].endpoints > 0.0, 1.0, 0.0)
+        assert np.array_equal(got.endpoints, ones)
 
     def test_paired_operand_rejected(self, env):
         e = err(evaluate, parse_expr("cart(A,B) | A"), env)
